@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test race difftest bench bench-compare chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test race difftest bench bench-compare bench-search chaos-soak serve-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test race difftest
@@ -60,6 +60,14 @@ bench:
 bench-compare:
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON ./internal/likelihood/
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline_kernels.json -current bench/BENCH_kernels.json -max-regress 0.10
+
+# End-to-end search benchmark: the serial-40x1200 workload (one serial
+# search on 40 taxa x 1200 sites, checked against perfbench/pins.json)
+# for 40 s, with the traced run's per-layer split of where the time went
+# (likelihood.newton_iter_ns, likelihood.opt_local_s,
+# likelihood.insert_score_s, ...). See perfbench/README.md.
+bench-search:
+	bash perfbench/run.sh --workload serial-40x1200 --seed 1 --seconds 40 --trace 1
 
 # Black-box smoke test of the fastdnamld daemon over real HTTP: build
 # the binaries, start a 2-worker daemon, submit a job and its duplicate

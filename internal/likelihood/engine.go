@@ -132,10 +132,20 @@ type CachedEngine struct {
 	// pmat in float32 for Float32 pruning combines (reductions always
 	// use the float64 matrices). pmatB/pmat32B hold the second child's
 	// matrices during the fused two-child combine.
-	pmat, dmat, ddmat []model.PMatrix
-	pmatB             []model.PMatrix
-	pmat32            [][4][4]float32
-	pmat32B           [][4][4]float32
+	pmat    []model.PMatrix
+	pmatB   []model.PMatrix
+	pmat32  [][4][4]float32
+	pmat32B [][4][4]float32
+
+	// Newton sumtable (newton.go, kernels.go): stG[k] = diag(π)·C_k for
+	// the model's stK eigen terms; sumtab holds, per padded pattern, the
+	// products Σ_ij a_i G_k[i][j] b_j of the edge being optimized;
+	// stCoef/stCoef0 hold each rate class's exp(λ_k r z) weights at the
+	// iterate and at the edge's start length.
+	stG             [4]model.PMatrix
+	stK             int
+	sumtab          [][4]float64
+	stCoef, stCoef0 []sumCoef
 
 	// bc2 is the pre-broadcast coefficient table per rate class consumed
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
@@ -245,8 +255,11 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	}
 	e.pmat = make([]model.PMatrix, len(e.classRates))
 	e.pmatB = make([]model.PMatrix, len(e.classRates))
-	e.dmat = make([]model.PMatrix, len(e.classRates))
-	e.ddmat = make([]model.PMatrix, len(e.classRates))
+	e.stCoef = make([]sumCoef, len(e.classRates))
+	e.stCoef0 = make([]sumCoef, len(e.classRates))
+	if err := e.initSumtable(); err != nil {
+		return nil, err
+	}
 	if prec == Float32 {
 		e.pmat32 = make([][4][4]float32, len(e.classRates))
 		e.pmat32B = make([][4][4]float32, len(e.classRates))
@@ -336,6 +349,7 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 		}
 	}
 	e.zeroScale = make([]int32, e.npad)
+	e.sumtab = make([][4]float64, e.npad)
 
 	// Shard layout and reduction partials (shard.go). The layout depends
 	// only on the data — the same real-pattern cut points as ever, so
@@ -409,14 +423,6 @@ func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, dst32 [][4][4]float32,
 				}
 			}
 		}
-	}
-}
-
-// fillProbsDeriv computes matrices and derivatives for branch length z.
-// Derivative kernels reduce in float64, so no float32 mirror is needed.
-func (e *CachedEngine) fillProbsDeriv(z float64) {
-	for ci, r := range e.classRates {
-		e.decomp.ProbsDeriv(z, r, &e.pmat[ci], &e.dmat[ci], &e.ddmat[ci])
 	}
 }
 

@@ -424,41 +424,208 @@ func TestIdenticalSequencesPreferZeroBranch(t *testing.T) {
 	}
 }
 
-// TestEdgeDerivativesFiniteDifference validates the analytic derivatives
-// of the edge log-likelihood.
-func TestEdgeDerivativesFiniteDifference(t *testing.T) {
-	p, _ := mkPatterns(t,
-		"ACGTACGTAC",
-		"ACTTACGAAC",
-		"CCGTAGGTAC",
-		"AAGAACGTCC")
-	m, _ := model.NewF84(seq.EmpiricalFreqsPatterns(p), 2.0)
-	e, _ := New(m, p)
-	rng := rand.New(rand.NewSource(3))
-	tr, _ := tree.RandomTree(taxaNames(4), rng, 0.2)
-	e.ensureBuffers(tr.MaxID())
-	ed := tr.Edges()[0]
-	a := e.downPartial(ed.A, ed.B)
-	ac := clvRef{
-		f64: append([]float64(nil), a.f64...),
-		sc:  append([]int32(nil), a.sc...),
-	}
-	b := e.downPartial(ed.B, ed.A)
+// edgeDerivatives builds the sumtable of edge (a, b) and evaluates one
+// Newton iterate's view of the edge at z: the first and second
+// derivatives, and the log-likelihood gain over MinBranchLength.
+func (e *CachedEngine) edgeDerivatives(a, b clvRef, z float64) (float64, float64, float64) {
+	e.buildSumtable(a, b)
+	d1, d2 := e.newtonDerivs(z)
+	return d1, d2, e.newtonGain(MinBranchLength, z)
+}
 
-	z := 0.13
-	const h = 1e-6
-	f := func(z float64) float64 { return e.edgeLogLikelihood(ac, b, z) }
-	d1, d2, lnl := e.edgeDerivatives(ac, b, z)
-	fd1 := (f(z+h) - f(z-h)) / (2 * h)
-	fd2 := (f(z+h) - 2*f(z) + f(z-h)) / (h * h)
-	if math.Abs(d1-fd1) > 1e-4*(1+math.Abs(fd1)) {
-		t.Errorf("d1 = %g, finite difference %g", d1, fd1)
+// sumtableModels are the substitution models the sumtable tests cover:
+// two to four eigen terms, so zero, one and two middle terms in the
+// build (kernels.go).
+func sumtableModels(t *testing.T, p *seq.Patterns) []model.Model {
+	t.Helper()
+	freqs := seq.EmpiricalFreqsPatterns(p)
+	hky, err := model.NewHKY85(freqs, 2.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(d2-fd2) > 1e-2*(1+math.Abs(fd2)) {
-		t.Errorf("d2 = %g, finite difference %g", d2, fd2)
+	f84, err := model.NewF84(freqs, 2.0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(lnl-f(z)) > 1e-9*(1+math.Abs(f(z))) {
-		t.Errorf("edgeDerivatives lnL = %g, edgeLogLikelihood %g", lnl, f(z))
+	gtr, err := model.NewGTR(freqs, model.GTRRates{AC: 1.2, AG: 3.1, AT: 0.7, CG: 0.9, CT: 4.2, GT: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []model.Model{model.NewJC69(), hky, f84, gtr}
+}
+
+// scaledCopy returns a copy of c in which every third pattern is stored
+// multiplied by the precision's scale factor with one more scale event
+// counted: the same conditional likelihoods, but with nonzero scale
+// counts the kernels must handle.
+func scaledCopy(e *CachedEngine, c clvRef) clvRef {
+	out := clvRef{sc: append([]int32(nil), c.sc...)}
+	if e.prec == Float32 {
+		out.f32 = append([]float32(nil), c.f32...)
+	} else {
+		out.f64 = append([]float64(nil), c.f64...)
+	}
+	for i := 0; i < e.npad; i += 3 {
+		if e.origOfPad[i] < 0 {
+			continue
+		}
+		for l := 0; l < 4; l++ {
+			if e.prec == Float32 {
+				out.f32[l*e.npad+i] *= scaleFactor32
+			} else {
+				out.f64[l*e.npad+i] *= scaleFactor
+			}
+		}
+		out.sc[i]++
+	}
+	return out
+}
+
+// TestEdgeDerivativesFiniteDifference validates the sumtable's analytic
+// derivatives and log-likelihood gain against finite differences of the
+// direct edge log-likelihood kernel (edgeLogLikelihood), for JC69,
+// HKY85, F84 and GTR, with one and with four gamma rate classes, in both
+// CLV precisions, on edges with and without scale counts.
+func TestEdgeDerivativesFiniteDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p, _ := mkPatterns(t, randomRows(rng, 6, 300)...)
+	gamma, err := model.DiscreteGamma(0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.RandomTree(taxaNames(6), rng, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sumtableModels(t, p) {
+		for _, ncat := range []int{1, 4} {
+			for _, prec := range []Precision{Float64, Float32} {
+				pc := *p
+				pc.Rates = make([]float64, len(p.Rates))
+				for i := range pc.Rates {
+					pc.Rates[i] = 1
+					if ncat > 1 {
+						pc.Rates[i] = gamma[i%ncat]
+					}
+				}
+				e, err := NewWithPrecision(m, &pc, prec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.ensureBuffers(tr.MaxID())
+				ed := tr.InternalEdges()[0]
+				a := scaledCopy(e, e.downPartial(ed.A, ed.B))
+				b := e.downPartial(ed.B, ed.A)
+				for _, scaled := range []bool{false, true} {
+					name := fmt.Sprintf("%s/cats=%d/%v/scaled=%v", m.Name(), ncat, prec, scaled)
+					ac := a
+					if !scaled {
+						ac = e.downPartial(ed.A, ed.B)
+					}
+					f := func(z float64) float64 { return e.edgeLogLikelihood(ac, b, z) }
+					for _, z := range []float64{0.004, 0.13, 1.7} {
+						d1, d2, gain := e.edgeDerivatives(ac, b, z)
+						const h1, h2 = 1e-6, 1e-4
+						fd1 := (f(z+h1) - f(z-h1)) / (2 * h1)
+						fd2 := (f(z+h2) - 2*f(z) + f(z-h2)) / (h2 * h2)
+						if math.Abs(d1-fd1) > 1e-4*(1+math.Abs(fd1)) {
+							t.Errorf("%s z=%g: d1 = %g, finite difference %g", name, z, d1, fd1)
+						}
+						if math.Abs(d2-fd2) > 1e-3*(1+math.Abs(fd2)) {
+							t.Errorf("%s z=%g: d2 = %g, finite difference %g", name, z, d2, fd2)
+						}
+						want := f(z) - f(MinBranchLength)
+						if math.Abs(gain-want) > 1e-9*(1+math.Abs(f(z))) {
+							t.Errorf("%s z=%g: sumtable gain = %.12g, edgeLogLikelihood gain %.12g", name, z, gain, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// scriptedEdge is an edgeObjective with fixed answers: derivatives d1
+// and d2 at every length, and a gain that is always gain. It counts the
+// evaluations of each.
+type scriptedEdge struct {
+	d1, d2, gain  float64
+	derivs, gains int
+}
+
+func (s *scriptedEdge) newtonDerivs(float64) (float64, float64) {
+	s.derivs++
+	return s.d1, s.d2
+}
+
+func (s *scriptedEdge) newtonGain(z0, z float64) float64 {
+	s.gains++
+	return s.gain
+}
+
+// TestNewtonDriveGuard pins the log-light guard: no log-likelihood pass
+// when the first iterate stops, and the start length is kept whenever
+// the last iterate is not strictly better, however the derivatives lied.
+func TestNewtonDriveGuard(t *testing.T) {
+	// Zero gradient at a concave point: the first iterate converges.
+	flat := &scriptedEdge{d1: 0, d2: -1, gain: -1}
+	if z := newtonDrive(flat, 0.1); z != 0.1 || flat.derivs != 1 || flat.gains != 0 {
+		t.Errorf("converged start: z=%g derivs=%d gains=%d, want 0.1, 1, 0", z, flat.derivs, flat.gains)
+	}
+	// Derivatives that always say "longer" while the likelihood drops.
+	liar := &scriptedEdge{d1: 5, d2: 1, gain: -1e-3}
+	if z := newtonDrive(liar, 0.1); z != 0.1 || liar.gains != 1 {
+		t.Errorf("worse last iterate: z=%g gains=%d, want the start 0.1 and one gain pass", z, liar.gains)
+	}
+	tie := &scriptedEdge{d1: 5, d2: 1, gain: 0}
+	if z := newtonDrive(tie, 0.1); z != 0.1 {
+		t.Errorf("tied last iterate: z=%g, want the start 0.1", z)
+	}
+	nan := &scriptedEdge{d1: 5, d2: 1, gain: math.NaN()}
+	if z := newtonDrive(nan, 0.1); z != 0.1 {
+		t.Errorf("NaN gain: z=%g, want the start 0.1", z)
+	}
+	better := &scriptedEdge{d1: 5, d2: 1, gain: 1e-3}
+	if z := newtonDrive(better, 0.1); z <= 0.1 || better.derivs > newtonMaxIter {
+		t.Errorf("better last iterate: z=%g after %d iterates, want a longer branch within %d", z, better.derivs, newtonMaxIter)
+	}
+}
+
+// TestNewtonNeverWorseThanStart is newtonDrive's property on real edges:
+// from any start length, the length newtonEdge returns has an edge
+// log-likelihood no lower than the start's — exactly under the sumtable
+// the guard compares with, and to rounding under the direct kernel.
+func TestNewtonNeverWorseThanStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p, _ := mkPatterns(t, randomRows(rng, 7, 200)...)
+	tr, err := tree.RandomTree(taxaNames(7), rng, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sumtableModels(t, p) {
+		for _, prec := range []Precision{Float64, Float32} {
+			e, err := NewWithPrecision(m, p, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ensureBuffers(tr.MaxID())
+			for _, ed := range tr.Edges() {
+				a := e.downPartial(ed.A, ed.B)
+				b := e.downPartial(ed.B, ed.A)
+				for i := 0; i < 12; i++ {
+					// Log-uniform over the legal interval, bounds included.
+					z0 := clampLen(MinBranchLength * math.Pow(MaxBranchLength/MinBranchLength*1.5, rng.Float64()))
+					z := e.newtonEdge(a, b, z0)
+					if g := e.newtonGain(z0, z); g < 0 {
+						t.Fatalf("%s %v: newtonEdge(%g) = %g, sumtable gain %g < 0", m.Name(), prec, z0, z, g)
+					}
+					l0, l := e.edgeLogLikelihood(a, b, z0), e.edgeLogLikelihood(a, b, z)
+					if l < l0-1e-10*math.Abs(l0) {
+						t.Fatalf("%s %v: newtonEdge(%g) = %g, edge lnL %.15g < start %.15g", m.Name(), prec, z0, z, l, l0)
+					}
+				}
+			}
+		}
 	}
 }
 

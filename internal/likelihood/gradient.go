@@ -164,24 +164,12 @@ func smoothAnchor(t *tree.Tree) *tree.Node {
 }
 
 // edgeGradient computes d/dz and d²/dz² of the edge log-likelihood at z
-// from the two directed partials — edgeDerivatives without the
-// log-likelihood value, so the kernel performs no per-pattern log and
-// loads no scale counts.
+// from the two directed partials through the Newton path itself: one
+// sumtable build and one derivative-only evaluation, so the gradient is
+// bit-identical to what a Newton iterate at the same length sees.
 func (e *CachedEngine) edgeGradient(a, b clvRef, z float64) (float64, float64) {
-	e.fillProbsDeriv(clampLen(z))
-	e.ops += uint64(e.npat) * 44
-	e.stats.NewtonIters++
-	k := &e.kern
-	k.op = kDerivGrad
-	k.a, k.b = a, b
-	e.runShards()
-	// Ordered reduction over the per-shard partials.
-	d1, d2 := 0.0, 0.0
-	for s := range e.shards {
-		d1 += e.shD1[s]
-		d2 += e.shD2[s]
-	}
-	return d1, d2
+	e.buildSumtable(a, b)
+	return e.newtonDerivs(z)
 }
 
 // gradRoundFactor scales the pass budget for gradient rounds: a Jacobi

@@ -273,132 +273,117 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 	return acc
 }
 
-// derivAcc carries the three Newton reduction accumulators through a
-// shard's segment loop.
-type derivAcc struct {
-	d1, d2, lnL float64
-}
+// Newton sumtable kernels. For one edge the per-pattern likelihood is
+// l_p(z) = Σ_ij π_i a_i P_ij(z) b_j, and the spectral expansion
+// P(z) = Σ_k C_k·exp(λ_k r z) splits it into K eigen-projected products
+// s_k[p] = Σ_ij a_i G_k[i][j] b_j (G_k = diag(π)·C_k) that do not depend
+// on z. segSumBuild fills them once per edge; every Newton iterate then
+// costs a few multiply-adds per pattern for each of l, l′ and l″.
+//
+// Two identities of every reversible model cut the build: the λ_0 = 0
+// term is the stationary projector, C_0[i][j] = π_j, so
+// s_0 = (Σ_i π_i a_i)(Σ_j π_j b_j) is a product of two dot products; and
+// P(0) = Σ_k C_k = I, so the last term is the remainder
+// s_{K-1} = Σ_i π_i a_i b_i − Σ_{k<K-1} s_k. Only the K−2 middle terms
+// need the full quadratic form (none for JC69, one for F84, two for
+// HKY85 and GTR). initSumtable checks both identities on the model.
+//
+// A sumtable row is four float64s whatever K is: lane k holds s_k, lanes
+// at and above K stay zero and contribute exact zeros. exp(λ_0 r z) is
+// exactly 1, so lane 0 is added unweighted and never enters l′ or l″.
 
-// segDeriv accumulates the weighted first/second log-likelihood
-// derivatives and the log-likelihood itself over [lo, lo+n).
-func segDeriv[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
-	pm, dm, ddm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int, acc derivAcc) derivAcc {
+// segSumBuild fills the sumtable rows of the padded range [lo, lo+n);
+// mid holds G_k for the middle terms k = 1..K-2.
+func segSumBuild[T clvFloat](st [][4]float64, aclv, bclv []T, f *[4]float64,
+	mid []model.PMatrix, npad, lo, n int) {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
-	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
-	m10, m11, m12, m13 := pm[1][0], pm[1][1], pm[1][2], pm[1][3]
-	m20, m21, m22, m23 := pm[2][0], pm[2][1], pm[2][2], pm[2][3]
-	m30, m31, m32, m33 := pm[3][0], pm[3][1], pm[3][2], pm[3][3]
-	d00, d01, d02, d03 := dm[0][0], dm[0][1], dm[0][2], dm[0][3]
-	d10, d11, d12, d13 := dm[1][0], dm[1][1], dm[1][2], dm[1][3]
-	d20, d21, d22, d23 := dm[2][0], dm[2][1], dm[2][2], dm[2][3]
-	d30, d31, d32, d33 := dm[3][0], dm[3][1], dm[3][2], dm[3][3]
-	e00, e01, e02, e03 := ddm[0][0], ddm[0][1], ddm[0][2], ddm[0][3]
-	e10, e11, e12, e13 := ddm[1][0], ddm[1][1], ddm[1][2], ddm[1][3]
-	e20, e21, e22, e23 := ddm[2][0], ddm[2][1], ddm[2][2], ddm[2][3]
-	e30, e31, e32, e33 := ddm[3][0], ddm[3][1], ddm[3][2], ddm[3][3]
-	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
 	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
 	b0l, b1l, b2l, b3l = b0l[:len(a0)], b1l[:len(a0)], b2l[:len(a0)], b3l[:len(a0)]
-	wv := w[lo : lo+n]
-	wv = wv[:len(a0)]
-	sa := asc[lo : lo+n]
-	sa = sa[:len(a0)]
-	sb := bsc[lo : lo+n]
-	sb = sb[:len(a0)]
+	sv := st[lo : lo+n]
+	sv = sv[:len(a0)]
+	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
+	mid = mid[:min(len(mid), 2)] // K ≤ 4; the cap also drops the bounds check on row[k+1]
+	last := len(mid) + 1
 	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
-		fa0 := f0 * float64(a0[i])
-		fa1 := f1 * float64(a1[i])
-		fa2 := f2 * float64(a2[i])
-		fa3 := f3 * float64(a3[i])
-		var l, dl, ddl float64
-		l += fa0 * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		dl += fa0 * (d00*b0 + d01*b1 + d02*b2 + d03*b3)
-		ddl += fa0 * (e00*b0 + e01*b1 + e02*b2 + e03*b3)
-		l += fa1 * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		dl += fa1 * (d10*b0 + d11*b1 + d12*b2 + d13*b3)
-		ddl += fa1 * (e10*b0 + e11*b1 + e12*b2 + e13*b3)
-		l += fa2 * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		dl += fa2 * (d20*b0 + d21*b1 + d22*b2 + d23*b3)
-		ddl += fa2 * (e20*b0 + e21*b1 + e22*b2 + e23*b3)
-		l += fa3 * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
-		dl += fa3 * (d30*b0 + d31*b1 + d32*b2 + d33*b3)
-		ddl += fa3 * (e30*b0 + e31*b1 + e32*b2 + e33*b3)
+		x0, x1, x2, x3 := float64(a0[i]), float64(a1[i]), float64(a2[i]), float64(a3[i])
+		y0, y1, y2, y3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		fa0, fa1, fa2, fa3 := f0*x0, f1*x1, f2*x2, f3*x3
+		s0 := (fa0 + fa1 + fa2 + fa3) * (f0*y0 + f1*y1 + f2*y2 + f3*y3)
+		rem := fa0*y0 + fa1*y1 + fa2*y2 + fa3*y3 - s0
+		row := &sv[i]
+		row[0] = s0
+		for k := range mid {
+			c := &mid[k]
+			v := x0*(c[0][0]*y0+c[0][1]*y1+c[0][2]*y2+c[0][3]*y3) +
+				x1*(c[1][0]*y0+c[1][1]*y1+c[1][2]*y2+c[1][3]*y3) +
+				x2*(c[2][0]*y0+c[2][1]*y1+c[2][2]*y2+c[2][3]*y3) +
+				x3*(c[3][0]*y0+c[3][1]*y1+c[3][2]*y2+c[3][3]*y3)
+			row[k+1] = v
+			rem -= v
+		}
+		row[last] = rem
+	}
+}
+
+// sumCoef holds one rate class's sumtable weights at a branch length:
+// row 0 is exp(λ_k r z), rows 1 and 2 its first and second z-derivatives
+// (λ_k r)·exp(λ_k r z) and (λ_k r)²·exp(λ_k r z). Column 0 (λ_0 = 0) is
+// never read, and columns at and above K stay zero.
+type sumCoef [3][4]float64
+
+// derivAcc carries the two Newton derivative accumulators through a
+// shard's segment loop.
+type derivAcc struct {
+	d1, d2 float64
+}
+
+// segSumDeriv accumulates the weighted first and second derivatives of
+// the edge log-likelihood over the sumtable rows [lo, lo+n). Scale
+// counts cancel in the l′/l and l″/l ratios, so no scale vector and no
+// transcendental is touched.
+func segSumDeriv(st [][4]float64, w []float64, c *sumCoef, lo, n int, acc derivAcc) derivAcc {
+	sv := st[lo : lo+n]
+	wv := w[lo : lo+n]
+	wv = wv[:len(sv)]
+	e1, e2, e3 := c[0][1], c[0][2], c[0][3]
+	f1, f2, f3 := c[1][1], c[1][2], c[1][3]
+	g1, g2, g3 := c[2][1], c[2][2], c[2][3]
+	for i := range sv {
+		s := &sv[i]
+		l := s[0] + s[1]*e1 + s[2]*e2 + s[3]*e3
 		if l <= 0 {
 			l = math.SmallestNonzeroFloat64
 		}
-		w := wv[i]
-		r := dl / l
-		acc.d1 += w * r
-		acc.d2 += w * (ddl/l - r*r)
-		acc.lnL += w * (math.Log(l) - float64(sa[i]+sb[i])*logSc)
+		inv := 1 / l
+		r := (s[1]*f1 + s[2]*f2 + s[3]*f3) * inv
+		acc.d1 += wv[i] * r
+		acc.d2 += wv[i] * ((s[1]*g1+s[2]*g2+s[3]*g3)*inv - r*r)
 	}
 	return acc
 }
 
-// gradAcc carries the two gradient reduction accumulators through a
-// shard's segment loop.
-type gradAcc struct {
-	d1, d2 float64
-}
-
-// segDerivGrad accumulates the weighted first/second log-likelihood
-// derivatives over [lo, lo+n): segDeriv minus the log-likelihood value.
-// The scale counts cancel in the dl/l and ddl/l ratios and the
-// per-pattern math.Log exists only for the likelihood value itself, so
-// the gradient-only reduction loads no scale vectors and calls no
-// transcendentals — that is what makes the all-branches gradient pass
-// cheap enough to beat the sweep. d1/d2 follow the exact arithmetic of
-// segDeriv in the same order, so they are bit-identical to the values
-// the full derivative kernel produces.
-func segDerivGrad[T clvFloat](aclv, bclv []T, w []float64,
-	pm, dm, ddm *model.PMatrix, f *[4]float64, npad, lo, n int, acc gradAcc) gradAcc {
-	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
-	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
-	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
-	m10, m11, m12, m13 := pm[1][0], pm[1][1], pm[1][2], pm[1][3]
-	m20, m21, m22, m23 := pm[2][0], pm[2][1], pm[2][2], pm[2][3]
-	m30, m31, m32, m33 := pm[3][0], pm[3][1], pm[3][2], pm[3][3]
-	d00, d01, d02, d03 := dm[0][0], dm[0][1], dm[0][2], dm[0][3]
-	d10, d11, d12, d13 := dm[1][0], dm[1][1], dm[1][2], dm[1][3]
-	d20, d21, d22, d23 := dm[2][0], dm[2][1], dm[2][2], dm[2][3]
-	d30, d31, d32, d33 := dm[3][0], dm[3][1], dm[3][2], dm[3][3]
-	e00, e01, e02, e03 := ddm[0][0], ddm[0][1], ddm[0][2], ddm[0][3]
-	e10, e11, e12, e13 := ddm[1][0], ddm[1][1], ddm[1][2], ddm[1][3]
-	e20, e21, e22, e23 := ddm[2][0], ddm[2][1], ddm[2][2], ddm[2][3]
-	e30, e31, e32, e33 := ddm[3][0], ddm[3][1], ddm[3][2], ddm[3][3]
-	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-	b0l, b1l, b2l, b3l = b0l[:len(a0)], b1l[:len(a0)], b2l[:len(a0)], b3l[:len(a0)]
+// segSumGain accumulates Σ_p w_p·log(l_p(z)/l_p(z0)) over the sumtable
+// rows [lo, lo+n), where c and c0 are the weights at z and z0: the
+// log-likelihood change of moving the edge from z0 to z, one log per
+// pattern for both lengths. Scale counts cancel in the ratio.
+func segSumGain(st [][4]float64, w []float64, c, c0 *sumCoef, lo, n int, acc float64) float64 {
+	sv := st[lo : lo+n]
 	wv := w[lo : lo+n]
-	wv = wv[:len(a0)]
-	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
-		fa0 := f0 * float64(a0[i])
-		fa1 := f1 * float64(a1[i])
-		fa2 := f2 * float64(a2[i])
-		fa3 := f3 * float64(a3[i])
-		var l, dl, ddl float64
-		l += fa0 * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		dl += fa0 * (d00*b0 + d01*b1 + d02*b2 + d03*b3)
-		ddl += fa0 * (e00*b0 + e01*b1 + e02*b2 + e03*b3)
-		l += fa1 * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		dl += fa1 * (d10*b0 + d11*b1 + d12*b2 + d13*b3)
-		ddl += fa1 * (e10*b0 + e11*b1 + e12*b2 + e13*b3)
-		l += fa2 * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		dl += fa2 * (d20*b0 + d21*b1 + d22*b2 + d23*b3)
-		ddl += fa2 * (e20*b0 + e21*b1 + e22*b2 + e23*b3)
-		l += fa3 * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
-		dl += fa3 * (d30*b0 + d31*b1 + d32*b2 + d33*b3)
-		ddl += fa3 * (e30*b0 + e31*b1 + e32*b2 + e33*b3)
+	wv = wv[:len(sv)]
+	e1, e2, e3 := c[0][1], c[0][2], c[0][3]
+	o1, o2, o3 := c0[0][1], c0[0][2], c0[0][3]
+	for i := range sv {
+		s := &sv[i]
+		l := s[0] + s[1]*e1 + s[2]*e2 + s[3]*e3
+		l0 := s[0] + s[1]*o1 + s[2]*o2 + s[3]*o3
 		if l <= 0 {
 			l = math.SmallestNonzeroFloat64
 		}
-		w := wv[i]
-		r := dl / l
-		acc.d1 += w * r
-		acc.d2 += w * (ddl/l - r*r)
+		if l0 <= 0 {
+			l0 = math.SmallestNonzeroFloat64
+		}
+		acc += wv[i] * math.Log(l/l0)
 	}
 	return acc
 }

@@ -191,27 +191,51 @@ func childrenByID(u, p *tree.Node) []*tree.Node {
 	return out
 }
 
-// newtonEdge maximizes the edge log-likelihood over the branch length,
-// starting from z0. It returns the best length among the evaluated
-// iterates, z0 included, so the result is never worse than the start —
-// the accept/reject guard reuses the likelihood values edgeDerivatives
-// already computes instead of paying two extra evaluation passes.
-func (e *CachedEngine) newtonEdge(a, b clvRef, z0 float64) float64 {
-	z := clampLen(z0)
-	bestZ, bestL := z, math.Inf(-1)
-	for iter := 0; iter < newtonMaxIter; iter++ {
-		e.stats.NewtonIters++
-		d1, d2, lnl := e.edgeDerivatives(a, b, z)
-		if lnl > bestL {
-			bestL, bestZ = lnl, z
-		}
+// edgeObjective is one edge's log-likelihood as a function of its branch
+// length, as newtonDrive sees it. Each engine implements it over
+// the edge it is currently optimizing.
+type edgeObjective interface {
+	// newtonDerivs returns the first and second derivatives of the edge
+	// log-likelihood at z.
+	newtonDerivs(z float64) (d1, d2 float64)
+	// newtonGain returns lnL(z) − lnL(z0), the change in the edge
+	// log-likelihood from moving its length from z0 to z.
+	newtonGain(z0, z float64) float64
+}
+
+// newtonDrive maximizes an edge log-likelihood over the branch length,
+// starting from z0, and returns the chosen length. It is the
+// accept/reject policy every in-tree engine shares, kept pure like
+// newtonStep so backends choose identically from identical values.
+//
+// The guard is log-light: the iterates themselves need only d1 and d2.
+// When the first iterate stops, the start is returned and no
+// log-likelihood is evaluated (z0 is the only length evaluated, so there
+// is nothing to reject). Otherwise the log-likelihood is compared at z0
+// and at the last evaluated iterate only, in one pass, and the better
+// length wins, z0 on a tie — so the result is never worse than the start.
+func newtonDrive(f edgeObjective, z0 float64) float64 {
+	start := clampLen(z0)
+	z := start
+	for iter := 1; ; iter++ {
+		d1, d2 := f.newtonDerivs(z)
 		next, stop := newtonStep(z, d1, d2)
-		if stop {
+		if stop || iter == newtonMaxIter {
 			break
 		}
 		z = next
 	}
-	return bestZ
+	if z == start || !(f.newtonGain(start, z) > 0) {
+		return start
+	}
+	return z
+}
+
+// newtonEdge optimizes the branch length of edge (a, b) from z0: one
+// sumtable build, then the shared newtonDrive policy over it.
+func (e *CachedEngine) newtonEdge(a, b clvRef, z0 float64) float64 {
+	e.buildSumtable(a, b)
+	return newtonDrive(e, z0)
 }
 
 // newtonStep computes the next Newton iterate for a branch length from
@@ -252,25 +276,102 @@ func newtonStep(z, d1, d2 float64) (float64, bool) {
 	return next, false
 }
 
-// edgeDerivatives computes d/dz and d²/dz² of the edge log-likelihood at
-// z, plus the log-likelihood itself (the log factors fall out of the
-// derivative terms, so the value costs only the per-pattern log the
-// guard in newtonEdge would otherwise pay for separately).
-func (e *CachedEngine) edgeDerivatives(a, b clvRef, z float64) (float64, float64, float64) {
-	e.fillProbsDeriv(clampLen(z))
-	e.ops += uint64(e.npat) * 48
+// initSumtable folds the equilibrium frequencies into the model's eigen
+// coefficient matrices, stG[k][i][j] = π_i·C_k[i][j], after checking the
+// two identities the sumtable build relies on (kernels.go): C_0 is the
+// stationary projector (C_0[i][j] = π_j) and Σ_k C_k = I.
+func (e *CachedEngine) initSumtable() error {
+	d := e.decomp
+	if len(d.Lambda) < 2 || len(d.Lambda) > len(e.stG) || len(d.Coef) != len(d.Lambda) || d.Lambda[0] != 0 {
+		return fmt.Errorf("likelihood: model %s: decomposition has %d terms, want 2..%d with λ_0 = 0",
+			e.mdl.Name(), len(d.Lambda), len(e.stG))
+	}
+	const tol = 1e-9
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			sum := 0.0
+			for k := range d.Coef {
+				sum += d.Coef[k][i][j]
+			}
+			id := 0.0
+			if i == j {
+				id = 1
+			}
+			if math.Abs(d.Coef[0][i][j]-e.freqs[j]) > tol || math.Abs(sum-id) > tol {
+				return fmt.Errorf("likelihood: model %s: decomposition is not a reversible stationary expansion", e.mdl.Name())
+			}
+		}
+	}
+	e.stK = len(d.Lambda)
+	for k := range d.Coef {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				e.stG[k][i][j] = e.freqs[i] * d.Coef[k][i][j]
+			}
+		}
+	}
+	return nil
+}
+
+// buildSumtable fills the sumtable of edge (a, b): the K eigen-projected
+// products of its two directed partials per pattern. Built once per edge
+// visit, it makes every later derivative or log-likelihood evaluation at
+// any length O(patterns·K). The op count charges 16 per eigen term, the
+// cost of a direct quadratic form.
+func (e *CachedEngine) buildSumtable(a, b clvRef) {
+	e.ops += uint64(e.npat) * 16 * uint64(e.stK)
 	k := &e.kern
-	k.op = kDeriv
+	k.op = kSumBuild
 	k.a, k.b = a, b
 	e.runShards()
-	// Ordered reduction over the per-shard derivative partials.
-	d1, d2, lnL := 0.0, 0.0, 0.0
+}
+
+// fillSumCoef computes every rate class's sumtable weights at length z.
+func (e *CachedEngine) fillSumCoef(dst []sumCoef, z float64) {
+	lam := e.decomp.Lambda
+	for ci, r := range e.classRates {
+		c := &dst[ci]
+		for k := 1; k < e.stK; k++ {
+			l1 := lam[k] * r
+			x := math.Exp(l1 * z)
+			c[0][k] = x
+			c[1][k] = l1 * x
+			c[2][k] = l1 * l1 * x
+		}
+	}
+}
+
+// newtonDerivs implements edgeObjective over the current sumtable: the
+// first and second derivatives of the edge log-likelihood at z, one
+// derivative-only kernel pass with an ordered shard reduction. It counts
+// as one Newton iteration.
+func (e *CachedEngine) newtonDerivs(z float64) (float64, float64) {
+	e.fillSumCoef(e.stCoef, clampLen(z))
+	e.ops += uint64(e.npat) * 3 * uint64(e.stK)
+	e.stats.NewtonIters++
+	e.kern.op = kSumDeriv
+	e.runShards()
+	d1, d2 := 0.0, 0.0
 	for s := range e.shards {
 		d1 += e.shD1[s]
 		d2 += e.shD2[s]
-		lnL += e.shLnL[s]
 	}
-	return d1, d2, lnL
+	return d1, d2
+}
+
+// newtonGain implements edgeObjective over the current sumtable: the
+// edge log-likelihood change from z0 to z, one per-pattern log pass.
+func (e *CachedEngine) newtonGain(z0, z float64) float64 {
+	e.fillSumCoef(e.stCoef0, clampLen(z0))
+	e.fillSumCoef(e.stCoef, clampLen(z))
+	e.ops += uint64(e.npat) * 2 * uint64(e.stK)
+	e.kern.op = kSumGain
+	e.runShards()
+	total := 0.0
+	for s := range e.shards {
+		total += e.shLnL[s]
+	}
+	return total
 }
 
 // OptimizeEdge optimizes a single edge's branch length in place and

@@ -20,10 +20,10 @@ import (
 //
 // It mirrors the cached engine's *algorithmic* choices exactly where
 // they are observable — children combined in node-ID order, the same
-// smoothing traversal and anchor rule, the shared newtonStep damping
-// policy, the same rescaling thresholds — but not its floating-point
-// summation order, so agreement is to the difftest tolerance, not bit
-// identity. In Float32 mode it emulates float32 CLV storage by rounding
+// smoothing traversal and anchor rule, the shared newtonStep damping and
+// newtonDrive accept/reject policies, the same rescaling thresholds —
+// but not its floating-point summation order, so agreement is to the
+// difftest tolerance, not bit identity. In Float32 mode it emulates float32 CLV storage by rounding
 // each stored component to float32 (arithmetic stays float64), with the
 // aggressive float32 rescaling threshold; the Float32*Tol contract
 // covers the residual difference from the cached engine's true float32
@@ -51,6 +51,10 @@ type ReferenceEngine struct {
 	logScaleV float64
 	threshV   float64 // rescale threshold for this precision
 	factorV   float64 // rescale factor for this precision
+
+	// edgeA/edgeB are the directed partials of the edge newtonEdge is
+	// optimizing: the edgeObjective that newtonDrive evaluates.
+	edgeA, edgeB refCLV
 }
 
 // refCLV is one conditional likelihood vector in the reference layout:
@@ -244,12 +248,12 @@ func (e *ReferenceEngine) edgeLnL(a, b refCLV, z float64) float64 {
 	return total
 }
 
-// edgeDeriv computes d/dz and d²/dz² of the edge log-likelihood at z,
-// plus the log-likelihood itself (the same three-way reduction the
-// cached engine's derivative kernel performs).
-func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64, float64) {
+// newtonDerivs implements edgeObjective: d/dz and d²/dz² of the current
+// edge's log-likelihood at z, straight from the derivative matrices.
+func (e *ReferenceEngine) newtonDerivs(z float64) (float64, float64) {
 	e.fillDeriv(clampLen(z))
-	var d1, d2, lnL float64
+	a, b := e.edgeA, e.edgeB
+	var d1, d2 float64
 	for p := 0; p < e.npat; p++ {
 		ci := e.classOf[p]
 		m, dm, ddm := &e.pm[ci], &e.dm[ci], &e.ddm[ci]
@@ -268,29 +272,23 @@ func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64, f
 		r := dl / l
 		d1 += w * r
 		d2 += w * (ddl/l - r*r)
-		lnL += w * (math.Log(l) - float64(a.sc[p]+b.sc[p])*e.logScaleV)
 	}
-	return d1, d2, lnL
+	return d1, d2
+}
+
+// newtonGain implements edgeObjective: the current edge's log-likelihood
+// change from z0 to z, as the difference of two full evaluations.
+func (e *ReferenceEngine) newtonGain(z0, z float64) float64 {
+	return e.edgeLnL(e.edgeA, e.edgeB, z) - e.edgeLnL(e.edgeA, e.edgeB, z0)
 }
 
 // newtonEdge maximizes the edge log-likelihood over the branch length
-// from z0 under the shared newtonStep policy, returning the best iterate
-// (z0 included) like the cached engine.
+// from z0 under the shared newtonDrive policy, like the cached engine.
 func (e *ReferenceEngine) newtonEdge(a, b refCLV, z0 float64) float64 {
-	z := clampLen(z0)
-	bestZ, bestL := z, math.Inf(-1)
-	for iter := 0; iter < newtonMaxIter; iter++ {
-		d1, d2, lnl := e.edgeDeriv(a, b, z)
-		if lnl > bestL {
-			bestL, bestZ = lnl, z
-		}
-		next, stop := newtonStep(z, d1, d2)
-		if stop {
-			break
-		}
-		z = next
-	}
-	return bestZ
+	e.edgeA, e.edgeB = a, b
+	z := newtonDrive(e, z0)
+	e.edgeA, e.edgeB = refCLV{}, refCLV{}
+	return z
 }
 
 // LogLikelihood evaluates the tree's log-likelihood by recomputing every

@@ -81,8 +81,9 @@ const (
 	kCombineMulResc
 	kCombine2
 	kEdgeLnL
-	kDeriv
-	kDerivGrad
+	kSumBuild
+	kSumDeriv
+	kSumGain
 	kSiteLnL
 )
 
@@ -287,32 +288,28 @@ func (e *CachedEngine) shardKernel(s int) {
 			}
 		}
 		e.shLnL[s] = total
-	case kDeriv:
+	case kSumBuild:
+		mid := e.stG[1 : e.stK-1]
+		for _, seg := range segs {
+			n := seg.hi - seg.lo
+			if e.prec == Float32 {
+				segSumBuild(e.sumtab, k.a.f32, k.b.f32, freqs, mid, e.npad, seg.plo, n)
+			} else {
+				segSumBuild(e.sumtab, k.a.f64, k.b.f64, freqs, mid, e.npad, seg.plo, n)
+			}
+		}
+	case kSumDeriv:
 		var acc derivAcc
 		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				acc = segDeriv(k.a.f32, k.b.f32, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, acc)
-			} else {
-				acc = segDeriv(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, acc)
-			}
-		}
-		e.shD1[s], e.shD2[s], e.shLnL[s] = acc.d1, acc.d2, acc.lnL
-	case kDerivGrad:
-		var acc gradAcc
-		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				acc = segDerivGrad(k.a.f32, k.b.f32, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.npad, seg.plo, n, acc)
-			} else {
-				acc = segDerivGrad(k.a.f64, k.b.f64, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.npad, seg.plo, n, acc)
-			}
+			acc = segSumDeriv(e.sumtab, e.weights, &e.stCoef[seg.ci], seg.plo, seg.hi-seg.lo, acc)
 		}
 		e.shD1[s], e.shD2[s] = acc.d1, acc.d2
+	case kSumGain:
+		total := 0.0
+		for _, seg := range segs {
+			total = segSumGain(e.sumtab, e.weights, &e.stCoef[seg.ci], &e.stCoef0[seg.ci], seg.plo, seg.hi-seg.lo, total)
+		}
+		e.shLnL[s] = total
 	case kSiteLnL:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo

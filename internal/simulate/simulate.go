@@ -11,6 +11,7 @@ package simulate
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/model"
 	"repro/internal/seq"
@@ -126,11 +127,19 @@ func evolve(tr *tree.Tree, m model.Model, rates []float64, rng *rand.Rand) (*seq
 	d := m.Decomposition()
 
 	// Distinct rates -> transition matrix cache per (rate, branch) pair
-	// is rebuilt per edge; group sites by rate to amortize.
+	// is rebuilt per edge; group sites by rate to amortize. The groups
+	// are walked in ascending rate order: the walk draws from the seeded
+	// rng, so a map's randomized iteration order would make the output
+	// differ from run to run.
 	rateIdx := map[float64][]int{}
 	for s, r := range rates {
 		rateIdx[r] = append(rateIdx[r], s)
 	}
+	rateKeys := make([]float64, 0, len(rateIdx))
+	for r := range rateIdx { // order-insensitive: sorted below
+		rateKeys = append(rateKeys, r)
+	}
+	sort.Float64s(rateKeys)
 
 	root := tr.AnyNode()
 	states := map[int][]byte{} // node ID -> per-site base indices
@@ -150,9 +159,9 @@ func evolve(tr *tree.Tree, m model.Model, rates []float64, rng *rand.Rand) (*seq
 			cur := states[n.ID]
 			next := make([]byte, nsites)
 			var pm model.PMatrix
-			for r, sites := range rateIdx {
+			for _, r := range rateKeys {
 				d.Probs(z, r, &pm)
-				for _, s := range sites {
+				for _, s := range rateIdx[r] {
 					row := pm[cur[s]]
 					next[s] = sampleIndex(rng, row[0], row[1], row[2], row[3])
 				}
