@@ -29,34 +29,33 @@ test:
 	$(GO) test ./...
 
 # Race detector over the concurrency-bearing packages (parallel runtime,
-# message passing, the sharded likelihood kernels — including the
-# float32/float64 precision property tests — the observability plane,
-# and the multi-tenant inference service).
+# message passing, the observability plane, and the multi-tenant
+# inference service) plus the likelihood engine those share.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/mlsearch/... ./internal/likelihood/... ./internal/obs/... ./internal/serve/...
 
 # Differential harness: the cached production engine against the direct
 # recomputation reference engine over seeded randomized trees, models,
-# and data sets, in both CLV precisions (see DESIGN.md §5g for the
-# tolerance contract). -count=1 defeats the test cache so the harness
-# really runs.
+# and data sets (see DESIGN.md §5g for the tolerance contract).
+# -count=1 defeats the test cache so the harness really runs.
 difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
-# Kernel scaling benchmarks: the sharded pruning and Newton kernels at
-# 1/2/4 engine threads under GOMAXPROCS 1/2/4, with -benchmem asserting
-# the zero-alloc steady state, plus the pooled wire-codec round trips.
-# The final step re-measures the kernels and archives the numbers as
-# bench/BENCH_kernels.json (CI uploads it as an artifact).
+# Kernel benchmarks: the pruning, Newton and smoothing kernels, with
+# -benchmem asserting the zero-alloc steady state, plus the pooled
+# wire-codec round trips. The final step re-measures the kernels and
+# archives the numbers as bench/BENCH_kernels.json (CI uploads it as an
+# artifact).
 bench:
-	$(GO) test -run XXX -bench 'DownPartial|NewtonEdge|FullSmooth|GradientSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
+	$(GO) test -run XXX -bench 'DownPartial|NewtonEdge|FullSmooth|GradientSmooth' -benchmem ./internal/likelihood/
 	$(GO) test -run XXX -bench Codec -benchmem ./internal/mlsearch/
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 
 # Regression gate: re-measure the kernels and diff against the committed
 # baseline (BENCH_baseline_kernels.json, captured before the SoA/AVX2
-# kernel rewrite). Fails when any kernel is >10% slower than baseline;
-# the stdout table is markdown, ready for a CI job summary.
+# kernel rewrite). Fails when any kernel is >10% slower than baseline
+# or missing from the fresh report; the stdout table is markdown, ready
+# for a CI job summary.
 bench-compare:
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON ./internal/likelihood/
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline_kernels.json -current bench/BENCH_kernels.json -max-regress 0.10

@@ -5,13 +5,15 @@
 // BENCH_baseline_kernels.json pins the kernel throughput of the tree
 // the current optimization round started from, and CI diffs every
 // build against it, printing a markdown before/after table for the job
-// summary.
+// summary. A baseline kernel missing from the current report fails the
+// gate too, naming the kernel.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,6 +48,25 @@ func main() {
 		fatal(err)
 	}
 
+	regressions, err := compare(base, cur, *maxRegress, os.Stdout)
+	if err != nil {
+		fatal(fmt.Errorf("%s vs %s: %w", *baselinePath, *currentPath, err))
+	}
+	if len(regressions) > 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: kernel regressions beyond the limit:")
+		for _, r := range regressions {
+			fmt.Fprintln(os.Stderr, "  "+r)
+		}
+		os.Exit(1)
+	}
+}
+
+// compare prints the markdown before/after table of every baseline
+// kernel to out and returns one line per kernel slower than the limit.
+// A baseline kernel with no current measurement is an error naming it:
+// the gate must not shrink unnoticed when a benchmark is renamed or
+// dropped.
+func compare(base, cur report, maxRegress float64, out io.Writer) ([]string, error) {
 	// Machine-speed normalization: both reports carry a calibration_ns
 	// measurement (a fixed dependent float64 chain — pure CPU speed).
 	// Dividing current timings by the calibration ratio cancels uniform
@@ -55,46 +76,49 @@ func main() {
 	scale := 1.0
 	if bc, cc := base.Totals["calibration_ns"], cur.Totals["calibration_ns"]; bc > 0 && cc > 0 {
 		scale = bc / cc
-		fmt.Printf("machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
+		fmt.Fprintf(out, "machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
 	}
 
-	keys := make([]string, 0, len(base.Totals))
+	var keys, missing []string
 	for k := range base.Totals {
-		if strings.HasSuffix(k, "_ns") && k != "calibration_ns" {
-			if _, ok := cur.Totals[k]; ok {
-				keys = append(keys, k)
-			}
+		if !strings.HasSuffix(k, "_ns") || k == "calibration_ns" {
+			continue
+		}
+		if _, ok := cur.Totals[k]; ok {
+			keys = append(keys, k)
+		} else {
+			missing = append(missing, strings.TrimSuffix(k, "_ns"))
 		}
 	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return nil, fmt.Errorf("current report lacks baseline kernels: %s", strings.Join(missing, ", "))
+	}
 	if len(keys) == 0 {
-		fatal(fmt.Errorf("no comparable *_ns entries between %s and %s", *baselinePath, *currentPath))
+		return nil, fmt.Errorf("no comparable *_ns entries")
 	}
 	sort.Strings(keys)
 
-	fmt.Println("| kernel | baseline ns/op | current ns/op | normalized ns/op | speedup |")
-	fmt.Println("|---|---:|---:|---:|---:|")
+	fmt.Fprintln(out, "| kernel | baseline ns/op | current ns/op | normalized ns/op | speedup |")
+	fmt.Fprintln(out, "|---|---:|---:|---:|---:|")
 	var regressions []string
 	for _, k := range keys {
 		b, c := base.Totals[k], cur.Totals[k]
 		name := strings.TrimSuffix(k, "_ns")
 		norm := c * scale
 		speedup := b / norm
-		fmt.Printf("| %s | %.0f | %.0f | %.0f | %.2fx |\n", name, b, c, norm, speedup)
-		if norm > b*(1+*maxRegress) {
+		fmt.Fprintf(out, "| %s | %.0f | %.0f | %.0f | %.2fx |\n", name, b, c, norm, speedup)
+		if norm > b*(1+maxRegress) {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op normalized (%.1f%% slower, limit %.0f%%)",
-					name, b, norm, 100*(norm/b-1), 100**maxRegress))
+					name, b, norm, 100*(norm/b-1), 100*maxRegress))
 		}
 	}
-	fmt.Println()
-	if len(regressions) > 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: kernel regressions beyond the limit:")
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "  "+r)
-		}
-		os.Exit(1)
+	fmt.Fprintln(out)
+	if len(regressions) == 0 {
+		fmt.Fprintf(out, "benchdiff: %d kernels within %.0f%% of baseline\n", len(keys), 100*maxRegress)
 	}
-	fmt.Printf("benchdiff: %d kernels within %.0f%% of baseline\n", len(keys), 100**maxRegress)
+	return regressions, nil
 }
 
 func load(path string) (report, error) {

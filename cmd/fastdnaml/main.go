@@ -41,8 +41,6 @@ func main() {
 		finalExtent = flag.Int("final-extent", 0, "vertices crossed in the final pass (0 = same as -extent)")
 		ttratio     = flag.Float64("ttratio", 2.0, "F84 transition/transversion ratio")
 		workers     = flag.Int("workers", 0, "parallel worker processes on this machine (0 = serial)")
-		threads     = flag.Int("threads", 1, "likelihood kernel threads per evaluator (results are bit-identical at any count)")
-		precision   = flag.String("precision", "float64", "CLV storage precision: float64 (exact, default) or float32 (half the memory traffic, documented tolerance)")
 		engine      = flag.String("engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
 		smoothMode  = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
 		pipeline    = flag.Int("pipeline", 2, "tasks kept in flight per worker in parallel runs (1 = paper's one-task dispatch)")
@@ -79,7 +77,7 @@ func main() {
 	}
 	if err := run(*inPath, options{
 		jumbles: *jumbles, concJumbles: *concJumbles, seed: *seed, extent: *extent, finalExtent: *finalExtent,
-		ttratio: *ttratio, workers: *workers, threads: *threads, precision: *precision, engine: *engine, smoothMode: *smoothMode, pipeline: *pipeline, monitor: *monitor,
+		ttratio: *ttratio, workers: *workers, engine: *engine, smoothMode: *smoothMode, pipeline: *pipeline, monitor: *monitor,
 		ratesPath: *ratesPath, weightsPath: *weightsPath,
 		outPrefix: *outPrefix, progressOut: *progressOut,
 		listen: *listen, netWorkers: *netWorkers, taskTimeout: *taskTimeout, quiet: *quiet,
@@ -96,14 +94,14 @@ func main() {
 type options struct {
 	jumbles, extent, finalExtent, workers, netWorkers int
 	concJumbles                                       int
-	threads, pipeline                                 int
+	pipeline                                          int
 	seed                                              int64
 	taskTimeout                                       time.Duration
 	ttratio, kappa                                    float64
 	monitor, quiet                                    bool
 	ratesPath, weightsPath, outPrefix, progressOut    string
 	listen, modelName, gtrRates                       string
-	precision, engine, smoothMode                     string
+	engine, smoothMode                                string
 	userTrees                                         string
 	bootstrap                                         int
 	checkpoint, resume                                string
@@ -193,8 +191,6 @@ func run(inPath string, o options) error {
 		FinalExtent:          o.finalExtent,
 		AdaptiveExtent:       o.adaptive,
 		Workers:              o.workers,
-		Threads:              o.threads,
-		Precision:            o.precision,
 		Engine:               o.engine,
 		SmoothMode:           o.smoothMode,
 		Pipeline:             o.pipeline,
@@ -480,7 +476,6 @@ func runDistributed(a *seq.Alignment, opt core.Options, o options) error {
 			TTRatio:    opt.TTRatio,
 			SiteRates:  opt.SiteRates,
 			Weights:    opt.Weights,
-			Precision:  cfg.Precision,
 			Engine:     cfg.Engine,
 			SmoothMode: cfg.SmoothMode,
 		},
@@ -605,7 +600,6 @@ func writeBenchReport(inf *core.Inference, o options) error {
 	totals := map[string]float64{
 		"jumbles":  float64(len(inf.Jumbles)),
 		"best_lnl": inf.Best.LnL,
-		"threads":  float64(o.threads),
 		"pipeline": float64(o.pipeline),
 	}
 	type jumbleBench struct {

@@ -32,7 +32,6 @@ func main() {
 		workers         = flag.Int("workers", 2, "worker goroutines per dataset pod")
 		maxPods         = flag.Int("max-pods", 2, "warm dataset pods kept at once")
 		idleTTL         = flag.Duration("pod-idle-ttl", 5*time.Minute, "idle time before a warm pod is shut down")
-		threads         = flag.Int("threads", 1, "likelihood kernel threads per worker (results are bit-identical at any count)")
 		pipeline        = flag.Int("pipeline", 2, "tasks kept in flight per worker")
 		taskTimeout     = flag.Duration("task-timeout", time.Minute, "re-dispatch a task whose worker has not answered within this")
 		maxActive       = flag.Int("max-active", 2, "jobs running concurrently")
@@ -98,7 +97,6 @@ func main() {
 			Workers:     *workers,
 			MaxPods:     *maxPods,
 			IdleTTL:     *idleTTL,
-			Threads:     *threads,
 			Pipeline:    *pipeline,
 			TaskTimeout: *taskTimeout,
 		},

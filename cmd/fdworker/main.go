@@ -29,8 +29,6 @@ func main() {
 		flaky      = flag.Float64("flaky", 0, "drop this fraction of replies (fault tolerance demos)")
 		seed       = flag.Int64("flaky-seed", 1, "seed for -flaky")
 		statusAddr = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address")
-		threads    = flag.Int("threads", 1, "likelihood kernel threads (results are bit-identical at any count)")
-		precision  = flag.String("precision", "", "CLV storage precision: float64 or float32 (default: whatever the master's data bundle requests)")
 		engine     = flag.String("engine", "", "likelihood backend: cached or reference (default: whatever the master's data bundle requests)")
 		smoothMode = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep or gradient (default: whatever the master's data bundle requests)")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -50,15 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fdworker:", err)
 		os.Exit(2)
 	}
-	hooks := mlsearch.WorkerHooks{Threads: *threads}
-	if *precision != "" {
-		prec, err := likelihood.ParsePrecision(*precision)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdworker:", err)
-			os.Exit(2)
-		}
-		hooks.Precision, hooks.PrecisionSet = prec, true
-	}
+	var hooks mlsearch.WorkerHooks
 	if *engine != "" {
 		name, err := likelihood.ParseEngine(*engine)
 		if err != nil {

@@ -59,15 +59,6 @@ type Options struct {
 	// Workers selects the runtime: 0 runs the serial program; >= 1 runs
 	// the parallel runtime with that many worker processes.
 	Workers int
-	// Threads is the likelihood engine's kernel thread count per
-	// evaluator (default 1). Any value yields bit-identical trees and
-	// likelihoods: the engine's sharding is deterministic.
-	Threads int
-	// Precision selects the CLV storage format: "float64" (or "64",
-	// "double", "f64", "" — the exact default) or "float32" (or "32",
-	// "single", "f32"), which halves CLV memory traffic at the documented
-	// accuracy tolerance (likelihood.Float32*Tol).
-	Precision string
 	// Engine names the likelihood backend: "cached" (the CLV-cached
 	// production engine, the default) or "reference" (the direct
 	// recomputation engine used for differential testing). See
@@ -174,10 +165,6 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	if err != nil {
 		return mlsearch.Config{}, opt, err
 	}
-	prec, err := likelihood.ParsePrecision(opt.Precision)
-	if err != nil {
-		return mlsearch.Config{}, opt, err
-	}
 	smode, err := likelihood.ParseSmoothMode(opt.SmoothMode)
 	if err != nil {
 		return mlsearch.Config{}, opt, err
@@ -190,8 +177,6 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 		RearrangeExtent: opt.RearrangeExtent,
 		FinalExtent:     opt.FinalExtent,
 		AdaptiveExtent:  opt.AdaptiveExtent,
-		Threads:         opt.Threads,
-		Precision:       prec,
 		Engine:          opt.Engine,
 		SmoothMode:      smode,
 	}

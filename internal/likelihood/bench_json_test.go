@@ -1,7 +1,6 @@
 package likelihood
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -10,38 +9,37 @@ import (
 	"repro/internal/obs"
 )
 
-// TestKernelBenchJSON measures the kernel benchmarks at each thread
-// count with testing.Benchmark and archives the results as
-// BENCH_kernels.json via the obs bench writer, so CI accumulates
-// machine-readable scaling data points alongside the chaos-soak and run
-// reports. Gated on FDML_BENCH_DIR (make bench sets it); plain test
-// runs skip it.
+// TestKernelBenchJSON measures the kernel benchmarks with
+// testing.Benchmark and archives the results as BENCH_kernels.json via
+// the obs bench writer, so CI accumulates machine-readable data points
+// alongside the chaos-soak and run reports. Gated on FDML_BENCH_DIR
+// (make bench sets it); plain test runs skip it.
 func TestKernelBenchJSON(t *testing.T) {
 	dir := os.Getenv("FDML_BENCH_DIR")
 	if dir == "" {
 		t.Skip("set FDML_BENCH_DIR to emit BENCH_kernels.json")
 	}
 	start := time.Now()
-	// Each kernel/thread-count point is measured benchReps times and the
-	// minimum ns/op recorded: single testing.Benchmark samples swing
-	// ±15% on shared runners, and best-of-N is the stablest estimator of
-	// the kernel's true cost for the regression gate to diff against.
+	// Each kernel is measured benchReps times and the minimum ns/op
+	// recorded: single testing.Benchmark samples swing ±15% on shared
+	// runners, and best-of-N is the stablest estimator of the kernel's
+	// true cost for the regression gate to diff against.
 	const benchReps = 3
 	// zeroAlloc marks the kernels with a zero-alloc steady-state
 	// guarantee; full_smooth walks the tree with per-pass bookkeeping
 	// and is measured without the assertion.
 	kernels := []struct {
 		name      string
-		fn        func(*testing.B, int)
+		fn        func(*testing.B)
 		zeroAlloc bool
 	}{
-		{"down_partial_cached", benchDownPartial, true},
-		{"newton_edge", benchNewton, true},
-		{"full_smooth", benchSmooth, false},
-		{"grad_smooth", benchGradientSmooth, true},
+		{"down_partial_cached", BenchmarkDownPartialCached, true},
+		{"newton_edge", BenchmarkNewtonEdge, true},
+		{"full_smooth", BenchmarkFullSmooth, false},
+		{"grad_smooth", BenchmarkGradientSmooth, true},
 	}
 	// The calibration workload is a fixed, dependent float64 chain: pure
-	// CPU speed, no memory or threading effects. benchdiff divides the
+	// CPU speed, no memory effects. benchdiff divides the
 	// kernel timings by it before applying the regression limit, so a
 	// shared runner that is globally 20% slower today than when the
 	// baseline was captured does not read as 20% of kernel regression.
@@ -59,34 +57,23 @@ func TestKernelBenchJSON(t *testing.T) {
 	}
 	details := map[string]any{}
 	for _, k := range kernels {
-		per := map[string]any{}
-		var serialNs float64
-		for _, n := range benchThreadCounts {
-			n := n
-			r := testing.Benchmark(func(b *testing.B) { k.fn(b, n) })
-			for rep := 1; rep < benchReps; rep++ {
-				if rr := testing.Benchmark(func(b *testing.B) { k.fn(b, n) }); rr.NsPerOp() < r.NsPerOp() {
-					r = rr
-				}
+		r := testing.Benchmark(k.fn)
+		for rep := 1; rep < benchReps; rep++ {
+			if rr := testing.Benchmark(k.fn); rr.NsPerOp() < r.NsPerOp() {
+				r = rr
 			}
-			ns := float64(r.NsPerOp())
-			if n == 1 {
-				serialNs = ns
-			}
-			per[fmt.Sprintf("threads_%d", n)] = map[string]float64{
-				"ns_per_op":         ns,
-				"allocs_per_op":     float64(r.AllocsPerOp()),
-				"bytes_per_op":      float64(r.AllocedBytesPerOp()),
-				"speedup_vs_serial": serialNs / ns,
-			}
-			totals[fmt.Sprintf("%s_threads_%d_ns", k.name, n)] = ns
-			if k.zeroAlloc && r.AllocsPerOp() != 0 {
-				t.Errorf("%s threads=%d: %d allocs/op in steady state, want 0",
-					k.name, n, r.AllocsPerOp())
-			}
-			t.Logf("%s threads=%d: %v/op, %d allocs/op", k.name, n, r.NsPerOp(), r.AllocsPerOp())
 		}
-		details[k.name] = per
+		ns := float64(r.NsPerOp())
+		details[k.name] = map[string]float64{
+			"ns_per_op":     ns,
+			"allocs_per_op": float64(r.AllocsPerOp()),
+			"bytes_per_op":  float64(r.AllocedBytesPerOp()),
+		}
+		totals[k.name+"_ns"] = ns
+		if k.zeroAlloc && r.AllocsPerOp() != 0 {
+			t.Errorf("%s: %d allocs/op in steady state, want 0", k.name, r.AllocsPerOp())
+		}
+		t.Logf("%s: %v/op, %d allocs/op", k.name, r.NsPerOp(), r.AllocsPerOp())
 	}
 	if calSink == 0 {
 		t.Error("calibration sink unexpectedly zero")

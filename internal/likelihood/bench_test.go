@@ -1,32 +1,24 @@
 package likelihood
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/tree"
 )
 
-// Kernel benchmarks for the scaling study. Run with
+// Kernel benchmarks. Run with
 //
-//	go test -run XXX -bench 'DownPartial|NewtonEdge' -cpu 1,2,4 -benchmem ./internal/likelihood/
+//	go test -run XXX -bench 'DownPartial|NewtonEdge|FullSmooth|GradientSmooth' -benchmem ./internal/likelihood/
 //
-// (make bench). ReportAllocs asserts the zero-alloc steady state; the
-// threads=N sub-benchmarks measure the sharded kernels against the
-// serial baseline on identical data.
+// (make bench). ReportAllocs asserts the zero-alloc steady state.
 
-var benchThreadCounts = []int{1, 2, 4, 8}
-
-// benchEngine builds a warmed engine + tree at the given thread count.
-func benchEngine(b *testing.B, threads int) (*CachedEngine, *tree.Tree) {
+// benchEngine builds a warmed engine and tree.
+func benchEngine(b *testing.B) (*CachedEngine, *tree.Tree) {
 	b.Helper()
-	m, p, tr := threadFixture(b, 17, 24, 3000)
+	m, p, tr := shardFixture(b, 17, 24, 3000)
 	eng, err := New(m, p)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if threads > 1 {
-		eng.SetThreads(threads)
 	}
 	if _, err := eng.LogLikelihood(tr); err != nil {
 		b.Fatal(err)
@@ -37,19 +29,10 @@ func benchEngine(b *testing.B, threads int) (*CachedEngine, *tree.Tree) {
 // BenchmarkDownPartialCached measures the pruning recompute path with a
 // warm arena: perturbing one interior branch per iteration invalidates
 // the chain of CLVs that depend on it, so each evaluation re-runs the
-// combine/rescale kernels (sharded when threads > 1) against cached
-// children — the dominant kernel of an add or rearrangement round.
+// combine/rescale kernels against cached children — the dominant kernel
+// of an add or rearrangement round.
 func BenchmarkDownPartialCached(b *testing.B) {
-	for _, threads := range benchThreadCounts {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchDownPartial(b, threads)
-		})
-	}
-}
-
-func benchDownPartial(b *testing.B, threads int) {
-	eng, tr := benchEngine(b, threads)
-	defer eng.Close()
+	eng, tr := benchEngine(b)
 	internal := tr.InternalEdges()
 	if len(internal) == 0 {
 		b.Fatal("no internal edges")
@@ -67,18 +50,9 @@ func benchDownPartial(b *testing.B, threads int) {
 }
 
 // BenchmarkNewtonEdge measures single-edge Newton-Raphson optimization
-// on a warm cache: the first/second-derivative kernel dominates.
+// on a warm cache: the sumtable build and derivative kernels dominate.
 func BenchmarkNewtonEdge(b *testing.B) {
-	for _, threads := range benchThreadCounts {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchNewton(b, threads)
-		})
-	}
-}
-
-func benchNewton(b *testing.B, threads int) {
-	eng, tr := benchEngine(b, threads)
-	defer eng.Close()
+	eng, tr := benchEngine(b)
 	ed, ok := tr.FirstEdge()
 	if !ok {
 		b.Fatal("no edge")
@@ -101,30 +75,15 @@ func benchNewton(b *testing.B, threads int) {
 // converged optimum (alternate edges scaled ×1.6 / ×0.6), so every op
 // performs identical work, and passes-to-convergence is reported as a
 // metric alongside wall time.
-func BenchmarkFullSmooth(b *testing.B) {
-	for _, threads := range benchThreadCounts {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchSmooth(b, threads)
-		})
-	}
-}
+func BenchmarkFullSmooth(b *testing.B) { benchSmoothConverge(b, SmoothSweep) }
 
 // BenchmarkGradientSmooth is BenchmarkFullSmooth in SmoothGradient mode:
 // same fixture, same perturbed start, same convergence gate, so the
 // ns/op ratio between the two is the gradient smoother's speedup to the
 // same optimum.
-func BenchmarkGradientSmooth(b *testing.B) {
-	for _, threads := range benchThreadCounts {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchGradientSmooth(b, threads)
-		})
-	}
-}
+func BenchmarkGradientSmooth(b *testing.B) { benchSmoothConverge(b, SmoothGradient) }
 
-func benchSmooth(b *testing.B, threads int)         { benchSmoothConverge(b, threads, SmoothSweep) }
-func benchGradientSmooth(b *testing.B, threads int) { benchSmoothConverge(b, threads, SmoothGradient) }
-
-func benchSmoothConverge(b *testing.B, threads int, mode SmoothMode) {
+func benchSmoothConverge(b *testing.B, mode SmoothMode) {
 	// The caterpillar fixture is well-specified for its data (chain-
 	// correlated rows), so the optimum has interior branch lengths and
 	// both smoothing modes converge to it cleanly.
@@ -132,10 +91,6 @@ func benchSmoothConverge(b *testing.B, threads int, mode SmoothMode) {
 	eng, err := New(m, p)
 	if err != nil {
 		b.Fatal(err)
-	}
-	defer eng.Close()
-	if threads > 1 {
-		eng.SetThreads(threads)
 	}
 	opt := OptOptions{Passes: 16, Mode: mode}
 	// Converge once, snapshot the optimum, and restart every iteration

@@ -66,9 +66,6 @@ type EngineStats struct {
 	// GradFallbacks counts gradient rounds that lost likelihood, were
 	// reverted, and fell back to the sequential sweep.
 	GradFallbacks uint64
-	// ShardDispatches counts kernel launches fanned out to the thread
-	// pool (zero for single-threaded engines).
-	ShardDispatches uint64
 	// EvalTime is wall-clock time spent inside the engine's evaluation
 	// entry points (LogLikelihood, OptimizeBranches, insertion scoring).
 	// Stored at full time.Duration precision; the JSON form keeps the
@@ -91,7 +88,6 @@ type engineStatsJSON struct {
 	SmoothPass  uint64  `json:"smooth_passes,omitempty"`
 	GradPass    uint64  `json:"grad_passes,omitempty"`
 	GradFall    uint64  `json:"grad_fallbacks,omitempty"`
-	ShardDisp   uint64  `json:"shard_dispatches,omitempty"`
 	EvalTimeMs  float64 `json:"eval_time_ms"`
 }
 
@@ -102,7 +98,6 @@ func (s EngineStats) MarshalJSON() ([]byte, error) {
 		Invalidated: s.Invalidated, Flushes: s.Flushes, Entries: s.Entries,
 		NewtonIters: s.NewtonIters, SmoothPass: s.SmoothPasses,
 		GradPass: s.GradPasses, GradFall: s.GradFallbacks,
-		ShardDisp:  s.ShardDispatches,
 		EvalTimeMs: float64(s.EvalTime) / float64(time.Millisecond),
 	})
 }
@@ -118,8 +113,7 @@ func (s *EngineStats) UnmarshalJSON(data []byte) error {
 		Invalidated: j.Invalidated, Flushes: j.Flushes, Entries: j.Entries,
 		NewtonIters: j.NewtonIters, SmoothPasses: j.SmoothPass,
 		GradPasses: j.GradPass, GradFallbacks: j.GradFall,
-		ShardDispatches: j.ShardDisp,
-		EvalTime:        time.Duration(j.EvalTimeMs * float64(time.Millisecond)),
+		EvalTime: time.Duration(j.EvalTimeMs * float64(time.Millisecond)),
 	}
 	return nil
 }
@@ -153,29 +147,20 @@ type clvCache struct {
 	gen    uint64
 
 	// Buffer geometry: every CLV buffer is 4 SoA lanes of npad entries
-	// (the engine's padded pattern count) at the engine's precision.
+	// (the engine's padded pattern count).
 	npad int
-	prec Precision
 
 	// Slab arena for entry buffers: CLV and scale vectors are carved out
 	// of shared slabs (clvSlabEntries entries per slab) instead of being
 	// allocated one make() pair per entry, so growing a tree allocates
 	// O(taxa / slabEntries) times rather than O(taxa) and steady-state
-	// evaluation allocates nothing. One float slab per precision; only
-	// the engine's own is ever populated.
-	slabF   []float64
-	slabF32 []float32
-	slabI   []int32
+	// evaluation allocates nothing.
+	slabF []float64
+	slabI []int32
 }
 
 // clvSlabEntries is how many entries' worth of buffers one slab holds.
 const clvSlabEntries = 16
-
-// init records the buffer geometry the slabs must serve.
-func (c *clvCache) init(npad int, prec Precision) {
-	c.npad = npad
-	c.prec = prec
-}
 
 // allocCLV carves one entry's CLV and scale buffers from the slabs,
 // sized for the padded SoA layout (4 lanes of npad each). Slab memory
@@ -184,19 +169,11 @@ func (c *clvCache) init(npad int, prec Precision) {
 func (c *clvCache) allocCLV() clvRef {
 	nf, ni := c.npad*4, c.npad
 	var ref clvRef
-	if c.prec == Float32 {
-		if cap(c.slabF32)-len(c.slabF32) < nf {
-			c.slabF32 = make([]float32, 0, nf*clvSlabEntries)
-		}
-		ref.f32 = c.slabF32[len(c.slabF32) : len(c.slabF32)+nf : len(c.slabF32)+nf]
-		c.slabF32 = c.slabF32[:len(c.slabF32)+nf]
-	} else {
-		if cap(c.slabF)-len(c.slabF) < nf {
-			c.slabF = make([]float64, 0, nf*clvSlabEntries)
-		}
-		ref.f64 = c.slabF[len(c.slabF) : len(c.slabF)+nf : len(c.slabF)+nf]
-		c.slabF = c.slabF[:len(c.slabF)+nf]
+	if cap(c.slabF)-len(c.slabF) < nf {
+		c.slabF = make([]float64, 0, nf*clvSlabEntries)
 	}
+	ref.v = c.slabF[len(c.slabF) : len(c.slabF)+nf : len(c.slabF)+nf]
+	c.slabF = c.slabF[:len(c.slabF)+nf]
 	if cap(c.slabI)-len(c.slabI) < ni {
 		c.slabI = make([]int32, 0, ni*clvSlabEntries)
 	}

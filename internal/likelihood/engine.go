@@ -15,9 +15,9 @@
 // stored structure-of-arrays — one contiguous lane per nucleotide state,
 // rate-class blocks padded to a fixed multiple — so the hot kernels
 // (kernels.go) run as straight-line, bounds-check-free loops over
-// parallel arrays. An optional float32 CLV mode (NewWithPrecision) halves
-// memory traffic behind the same entry points; float64 stays the default
-// and the bit-identity reference.
+// parallel arrays. CLVs are float64 throughout, and every reduction sums
+// in a fixed, data-determined order, so results are reproducible to the
+// bit.
 package likelihood
 
 import (
@@ -33,8 +33,7 @@ import (
 
 // Scaling constants: conditional likelihoods below scaleThreshold are
 // multiplied by scaleFactor and the event is counted; the log-likelihood
-// is corrected by count*logScale at the root. (Float32 engines use the
-// more aggressive scaleThreshold32/scaleFactor32 from precision.go.)
+// is corrected by count*logScale at the root.
 const (
 	scaleThreshold = 1e-100
 	scaleFactor    = 1e100
@@ -75,22 +74,19 @@ type classBlock struct {
 	plo    int // padded start index (multiple of clvBlock)
 }
 
-// clvRef is a precision-tagged view of one conditional likelihood
-// vector in the SoA layout: exactly one of f64/f32 is non-nil, matching
-// the owning engine's precision, and holds 4*npad entries (four state
-// lanes of npad each). sc is the per-padded-pattern scale count vector.
+// clvRef is a view of one conditional likelihood vector in the SoA
+// layout: v holds 4*npad entries (four state lanes of npad each), sc the
+// per-padded-pattern scale counts.
 type clvRef struct {
-	f64 []float64
-	f32 []float32
-	sc  []int32
+	v  []float64
+	sc []int32
 }
 
 // CachedEngine is the production Engine implementation: Felsenstein
-// pruning over a per-directed-edge CLV cache with SoA storage, sharded
-// multi-core kernels, optional AVX2 acceleration, and a float32 CLV
-// mode. It is registered in the engine registry as "cached" (the
-// default backend). A CachedEngine is not safe for concurrent use; each
-// worker owns one.
+// pruning over a per-directed-edge CLV cache with SoA storage, fixed
+// shard-ordered reductions, and optional AVX2 acceleration. It is
+// registered in the engine registry as "cached" (the default backend).
+// A CachedEngine is not safe for concurrent use; each worker owns one.
 type CachedEngine struct {
 	mdl model.Model
 	pat *seq.Patterns
@@ -114,28 +110,17 @@ type CachedEngine struct {
 	weights   []float64
 	origOfPad []int
 
-	// prec selects the CLV storage format; logScaleV is the active
-	// per-scaling-event log-likelihood correction.
-	prec      Precision
-	logScaleV float64
-
 	// tip conditional likelihoods per taxon in SoA lanes over the padded
-	// axis (one of the two sets is populated, per prec): 1 when the
-	// observed code is compatible with the base, 0 in padding. zeroScale
-	// is the shared all-zero scale vector tips report (tips never
-	// underflow).
+	// axis: 1 when the observed code is compatible with the base, 0 in
+	// padding. zeroScale is the shared all-zero scale vector tips report
+	// (tips never underflow).
 	tips      [][]float64
-	tips32    [][]float32
 	zeroScale []int32
 
-	// scratch transition matrices, one per rate class. pmat32 mirrors
-	// pmat in float32 for Float32 pruning combines (reductions always
-	// use the float64 matrices). pmatB/pmat32B hold the second child's
-	// matrices during the fused two-child combine.
-	pmat    []model.PMatrix
-	pmatB   []model.PMatrix
-	pmat32  [][4][4]float32
-	pmat32B [][4][4]float32
+	// scratch transition matrices, one per rate class. pmatB holds the
+	// second child's matrices during the fused two-child combine.
+	pmat  []model.PMatrix
+	pmatB []model.PMatrix
 
 	// Newton sumtable (newton.go, kernels.go): stG[k] = diag(π)·C_k for
 	// the model's stK eigen terms; sumtab holds, per padded pattern, the
@@ -150,8 +135,8 @@ type CachedEngine struct {
 	// bc2 is the pre-broadcast coefficient table per rate class consumed
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
 	// (each coefficient repeated across a 4-wide row), row 32 the rescale
-	// threshold. Allocated only for float64 engines on AVX2 hardware; nil
-	// selects the scalar kernel.
+	// threshold. Allocated only on AVX2 hardware; nil selects the scalar
+	// kernel.
 	bc2 [][33][4]float64
 
 	// cache memoizes directed-edge CLVs; stats counts its behaviour.
@@ -168,15 +153,9 @@ type CachedEngine struct {
 	// outermost call contributes wall-clock time.
 	evalDepth int
 
-	// Sharded kernels (shard.go): the fixed shard layout (a pure function
-	// of the data), the persistent goroutine pool (nil when threads <= 1),
-	// the engine-held kernel arguments, and the per-shard reduction
-	// partials summed in shard index order.
-	threads           int
-	shards            []shard
-	pool              *shardPool
-	kern              kernArgs
-	shLnL, shD1, shD2 []float64
+	// shards is the fixed reduction grouping (shard.go), a pure function
+	// of the data.
+	shards []shard
 
 	// Arena scratch reused across evaluations: the per-pattern site
 	// vector SiteLogLikelihoods fills (siteBuf) and the two junction
@@ -213,18 +192,8 @@ func (e *CachedEngine) endEval(start time.Time) {
 	}
 }
 
-// New builds a float64 (exact-mode) engine for the given model and
-// compressed patterns.
+// New builds an engine for the given model and compressed patterns.
 func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
-	return NewWithPrecision(m, p, Float64)
-}
-
-// NewWithPrecision builds an engine whose conditional likelihood vectors
-// are stored at the given precision. Float64 is exact mode; Float32
-// trades a documented accuracy tolerance (precision.go) for half the CLV
-// memory traffic. Reductions (log-likelihood, Newton derivatives) always
-// accumulate in float64 regardless of precision.
-func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEngine, error) {
 	if p.NumPatterns() == 0 {
 		return nil, fmt.Errorf("likelihood: empty pattern set")
 	}
@@ -234,12 +203,6 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 		freqs:  m.Freqs(),
 		decomp: m.Decomposition(),
 		npat:   p.NumPatterns(),
-		prec:   prec,
-	}
-	if prec == Float32 {
-		e.logScaleV = logScale32
-	} else {
-		e.logScaleV = logScale
 	}
 	// Group patterns into rate classes.
 	classIdx := make(map[float64]int)
@@ -260,10 +223,7 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	if err := e.initSumtable(); err != nil {
 		return nil, err
 	}
-	if prec == Float32 {
-		e.pmat32 = make([][4][4]float32, len(e.classRates))
-		e.pmat32B = make([][4][4]float32, len(e.classRates))
-	} else if useAVX2 {
+	if useAVX2 {
 		e.bc2 = make([][33][4]float64, len(e.classRates))
 		for ci := range e.bc2 {
 			e.bc2[ci][32] = [4]float64{scaleThreshold, scaleThreshold, scaleThreshold, scaleThreshold}
@@ -314,54 +274,28 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	// exactly zero forever — combines propagate 0 and rescaling skips
 	// non-positive maxima — so padded tails never produce scaling events
 	// or NaNs.
-	if prec == Float32 {
-		e.tips32 = make([][]float32, p.NumSeqs())
-	} else {
-		e.tips = make([][]float64, p.NumSeqs())
-	}
-	for taxon := 0; taxon < p.NumSeqs(); taxon++ {
-		var v64 []float64
-		var v32 []float32
-		if prec == Float32 {
-			v32 = make([]float32, 4*e.npad)
-		} else {
-			v64 = make([]float64, 4*e.npad)
-		}
+	e.tips = make([][]float64, p.NumSeqs())
+	for taxon := range e.tips {
+		v := make([]float64, 4*e.npad)
 		for _, blk := range e.blocks {
 			for s := blk.lo; s < blk.hi; s++ {
 				i := blk.plo + (s - blk.lo)
 				c := p.Codes[taxon][e.perm[s]]
 				for b := 0; b < 4; b++ {
 					if c&(1<<uint(b)) != 0 {
-						if prec == Float32 {
-							v32[b*e.npad+i] = 1
-						} else {
-							v64[b*e.npad+i] = 1
-						}
+						v[b*e.npad+i] = 1
 					}
 				}
 			}
 		}
-		if prec == Float32 {
-			e.tips32[taxon] = v32
-		} else {
-			e.tips[taxon] = v64
-		}
+		e.tips[taxon] = v
 	}
 	e.zeroScale = make([]int32, e.npad)
 	e.sumtab = make([][4]float64, e.npad)
 
-	// Shard layout and reduction partials (shard.go). The layout depends
-	// only on the data — the same real-pattern cut points as ever, so
-	// reduction grouping (and therefore every float64 bit) is unchanged
-	// from the interleaved engine — and every thread count reduces in
-	// the same order.
+	// Reduction grouping (shard.go), a pure function of the data.
 	e.shards = buildShards(e.blocks, e.npat)
-	e.shLnL = make([]float64, len(e.shards))
-	e.shD1 = make([]float64, len(e.shards))
-	e.shD2 = make([]float64, len(e.shards))
-	e.threads = 1
-	e.cache.init(e.npad, prec)
+	e.cache.npad = e.npad
 	return e, nil
 }
 
@@ -370,9 +304,6 @@ func (e *CachedEngine) Model() model.Model { return e.mdl }
 
 // Patterns returns the engine's data set.
 func (e *CachedEngine) Patterns() *seq.Patterns { return e.pat }
-
-// Precision returns the engine's CLV storage precision.
-func (e *CachedEngine) Precision() Precision { return e.prec }
 
 // Ops returns the cumulative pattern-level work counter.
 func (e *CachedEngine) Ops() uint64 { return e.ops }
@@ -389,40 +320,17 @@ func (e *CachedEngine) ensureBuffers(n int) {
 	e.cache.grow(n)
 }
 
-// tipRef returns the tip CLV view for a taxon at the engine's precision.
+// tipRef returns the tip CLV view for a taxon.
 func (e *CachedEngine) tipRef(taxon int) clvRef {
-	if e.prec == Float32 {
-		return clvRef{f32: e.tips32[taxon], sc: e.zeroScale}
-	}
-	return clvRef{f64: e.tips[taxon], sc: e.zeroScale}
+	return clvRef{v: e.tips[taxon], sc: e.zeroScale}
 }
 
 // fillProbs computes the per-class transition matrices for branch length
-// z, mirroring them into float32 when the engine stores float32 CLVs.
-func (e *CachedEngine) fillProbs(z float64) {
-	e.fillProbsInto(e.pmat, e.pmat32, z)
-}
-
-// fillProbsB fills the second matrix set used by the two-child fused
-// combine (combine2Into needs both edges' matrices live at once).
-func (e *CachedEngine) fillProbsB(z float64) {
-	e.fillProbsInto(e.pmatB, e.pmat32B, z)
-}
-
-func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, dst32 [][4][4]float32, z float64) {
+// z into dst (e.pmat, or e.pmatB for the second child of a fused
+// combine).
+func (e *CachedEngine) fillProbs(dst []model.PMatrix, z float64) {
 	for ci, r := range e.classRates {
 		e.decomp.Probs(z, r, &dst[ci])
-	}
-	if e.prec == Float32 {
-		for ci := range dst {
-			src := &dst[ci]
-			d := &dst32[ci]
-			for i := 0; i < 4; i++ {
-				for j := 0; j < 4; j++ {
-					d[i][j] = float32(src[i][j])
-				}
-			}
-		}
 	}
 }
 
@@ -445,21 +353,23 @@ func clampLen(z float64) float64 {
 // registers before the store, saving a whole read-modify-write sweep of
 // dst per CLV fill (bit-identical to a separate rescale pass).
 func (e *CachedEngine) combineInto(dst, src clvRef, z float64, first, resc bool) {
-	e.fillProbs(clampLen(z))
+	e.fillProbs(e.pmat, clampLen(z))
 	e.ops += uint64(e.npat) * 16
-	k := &e.kern
-	switch {
-	case first && resc:
-		k.op = kCombineFirstResc
-	case first:
-		k.op = kCombineFirst
-	case resc:
-		k.op = kCombineMulResc
-	default:
-		k.op = kCombineMul
+	for _, blk := range e.blocks {
+		m, n := (*[4][4]float64)(&e.pmat[blk.ci]), blk.hi-blk.lo
+		switch {
+		case first && resc:
+			segCombineFirstResc(dst.v, src.v, m, dst.sc, src.sc, e.npad, blk.plo, n)
+		case first:
+			segCombineFirst(dst.v, src.v, m, e.npad, blk.plo, n)
+			copy(dst.sc[blk.plo:blk.plo+n], src.sc[blk.plo:blk.plo+n])
+		case resc:
+			segCombineMulResc(dst.v, src.v, m, dst.sc, src.sc, e.npad, blk.plo, n)
+		default:
+			segCombineMul(dst.v, src.v, m, e.npad, blk.plo, n)
+			addScale(dst.sc, src.sc, blk.plo, n)
+		}
 	}
-	k.dst, k.src = dst, src
-	e.runShards()
 }
 
 // combine2Into performs a complete binary pruning step — the common case
@@ -467,8 +377,8 @@ func (e *CachedEngine) combineInto(dst, src clvRef, z float64, first, resc bool)
 // dst = (P(za)·a) ⊙ (P(zb)·b) with rescaling fused, never materializing
 // the first child's product. Bit-identical to the first/mul sequence.
 func (e *CachedEngine) combine2Into(dst, a, b clvRef, za, zb float64) {
-	e.fillProbs(clampLen(za))
-	e.fillProbsB(clampLen(zb))
+	e.fillProbs(e.pmat, clampLen(za))
+	e.fillProbs(e.pmatB, clampLen(zb))
 	for ci := range e.bc2 {
 		t := &e.bc2[ci]
 		pa, pb := &e.pmat[ci], &e.pmatB[ci]
@@ -481,10 +391,14 @@ func (e *CachedEngine) combine2Into(dst, a, b clvRef, za, zb float64) {
 		}
 	}
 	e.ops += uint64(e.npat) * 32
-	k := &e.kern
-	k.op = kCombine2
-	k.dst, k.src, k.src2 = dst, a, b
-	e.runShards()
+	for _, blk := range e.blocks {
+		ma, mb := (*[4][4]float64)(&e.pmat[blk.ci]), (*[4][4]float64)(&e.pmatB[blk.ci])
+		if e.bc2 != nil {
+			combine2F64(dst.v, a.v, b.v, ma, mb, &e.bc2[blk.ci], dst.sc, a.sc, b.sc, e.npad, blk.plo, blk.hi-blk.lo)
+		} else {
+			segCombine2(dst.v, a.v, b.v, ma, mb, dst.sc, a.sc, b.sc, e.npad, blk.plo, blk.hi-blk.lo)
+		}
+	}
 }
 
 // partial returns the conditional likelihood vector of the subtree at n
@@ -571,17 +485,16 @@ func (e *CachedEngine) downPartial(n, parent *tree.Node) clvRef {
 // edgeLogLikelihood combines the two directed partials of edge (a,b) at
 // branch length z into the total log-likelihood.
 func (e *CachedEngine) edgeLogLikelihood(a, b clvRef, z float64) float64 {
-	e.fillProbs(clampLen(z))
+	e.fillProbs(e.pmat, clampLen(z))
 	e.ops += uint64(e.npat) * 20
-	k := &e.kern
-	k.op = kEdgeLnL
-	k.a, k.b = a, b
-	e.runShards()
-	// Ordered reduction: per-shard partials summed in shard index order,
-	// independent of which thread computed them.
+	freqs := (*[4]float64)(&e.freqs)
 	total := 0.0
-	for s := range e.shards {
-		total += e.shLnL[s]
+	for _, sh := range e.shards {
+		part := 0.0
+		for _, seg := range sh.segs {
+			part = segEdgeLnL(a.v, b.v, a.sc, b.sc, e.weights, &e.pmat[seg.ci], freqs, e.npad, seg.plo, seg.hi-seg.lo, part)
+		}
+		total += part
 	}
 	return total
 }
@@ -623,14 +536,14 @@ func (e *CachedEngine) SiteLogLikelihoods(t *tree.Tree) ([]float64, error) {
 	}
 	a, _ := e.partial(ed.A, ed.B)
 	b, _ := e.partial(ed.B, ed.A)
-	e.fillProbs(clampLen(ed.Length()))
+	e.fillProbs(e.pmat, clampLen(ed.Length()))
 	if e.siteBuf == nil {
 		e.siteBuf = make([]float64, e.npat)
 	}
-	k := &e.kern
-	k.op = kSiteLnL
-	k.a, k.b, k.out = a, b, e.siteBuf
-	e.runShards()
+	freqs := (*[4]float64)(&e.freqs)
+	for _, blk := range e.blocks {
+		segSiteLnL(a.v, b.v, a.sc, b.sc, e.origOfPad, e.siteBuf, &e.pmat[blk.ci], freqs, e.npad, blk.plo, blk.hi-blk.lo)
+	}
 	return e.siteBuf, nil
 }
 

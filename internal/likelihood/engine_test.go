@@ -214,8 +214,8 @@ func TestRerootingInvariance(t *testing.T) {
 		a := e.downPartial(ed.A, ed.B)
 		// downPartial reuses buffers; copy side A before computing B.
 		ac := clvRef{
-			f64: append([]float64(nil), a.f64...),
-			sc:  append([]int32(nil), a.sc...),
+			v:  append([]float64(nil), a.v...),
+			sc: append([]int32(nil), a.sc...),
 		}
 		b := e.downPartial(ed.B, ed.A)
 		vals = append(vals, e.edgeLogLikelihood(ac, b, ed.Length()))
@@ -455,26 +455,17 @@ func sumtableModels(t *testing.T, p *seq.Patterns) []model.Model {
 }
 
 // scaledCopy returns a copy of c in which every third pattern is stored
-// multiplied by the precision's scale factor with one more scale event
-// counted: the same conditional likelihoods, but with nonzero scale
-// counts the kernels must handle.
+// multiplied by the scale factor with one more scale event counted: the
+// same conditional likelihoods, but with nonzero scale counts the
+// kernels must handle.
 func scaledCopy(e *CachedEngine, c clvRef) clvRef {
-	out := clvRef{sc: append([]int32(nil), c.sc...)}
-	if e.prec == Float32 {
-		out.f32 = append([]float32(nil), c.f32...)
-	} else {
-		out.f64 = append([]float64(nil), c.f64...)
-	}
+	out := clvRef{v: append([]float64(nil), c.v...), sc: append([]int32(nil), c.sc...)}
 	for i := 0; i < e.npad; i += 3 {
 		if e.origOfPad[i] < 0 {
 			continue
 		}
 		for l := 0; l < 4; l++ {
-			if e.prec == Float32 {
-				out.f32[l*e.npad+i] *= scaleFactor32
-			} else {
-				out.f64[l*e.npad+i] *= scaleFactor
-			}
+			out.v[l*e.npad+i] *= scaleFactor
 		}
 		out.sc[i]++
 	}
@@ -484,8 +475,8 @@ func scaledCopy(e *CachedEngine, c clvRef) clvRef {
 // TestEdgeDerivativesFiniteDifference validates the sumtable's analytic
 // derivatives and log-likelihood gain against finite differences of the
 // direct edge log-likelihood kernel (edgeLogLikelihood), for JC69,
-// HKY85, F84 and GTR, with one and with four gamma rate classes, in both
-// CLV precisions, on edges with and without scale counts.
+// HKY85, F84 and GTR, with one and with four gamma rate classes, on
+// edges with and without scale counts.
 func TestEdgeDerivativesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, _ := mkPatterns(t, randomRows(rng, 6, 300)...)
@@ -499,45 +490,43 @@ func TestEdgeDerivativesFiniteDifference(t *testing.T) {
 	}
 	for _, m := range sumtableModels(t, p) {
 		for _, ncat := range []int{1, 4} {
-			for _, prec := range []Precision{Float64, Float32} {
-				pc := *p
-				pc.Rates = make([]float64, len(p.Rates))
-				for i := range pc.Rates {
-					pc.Rates[i] = 1
-					if ncat > 1 {
-						pc.Rates[i] = gamma[i%ncat]
-					}
+			pc := *p
+			pc.Rates = make([]float64, len(p.Rates))
+			for i := range pc.Rates {
+				pc.Rates[i] = 1
+				if ncat > 1 {
+					pc.Rates[i] = gamma[i%ncat]
 				}
-				e, err := NewWithPrecision(m, &pc, prec)
-				if err != nil {
-					t.Fatal(err)
+			}
+			e, err := New(m, &pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ensureBuffers(tr.MaxID())
+			ed := tr.InternalEdges()[0]
+			a := scaledCopy(e, e.downPartial(ed.A, ed.B))
+			b := e.downPartial(ed.B, ed.A)
+			for _, scaled := range []bool{false, true} {
+				name := fmt.Sprintf("%s/cats=%d/scaled=%v", m.Name(), ncat, scaled)
+				ac := a
+				if !scaled {
+					ac = e.downPartial(ed.A, ed.B)
 				}
-				e.ensureBuffers(tr.MaxID())
-				ed := tr.InternalEdges()[0]
-				a := scaledCopy(e, e.downPartial(ed.A, ed.B))
-				b := e.downPartial(ed.B, ed.A)
-				for _, scaled := range []bool{false, true} {
-					name := fmt.Sprintf("%s/cats=%d/%v/scaled=%v", m.Name(), ncat, prec, scaled)
-					ac := a
-					if !scaled {
-						ac = e.downPartial(ed.A, ed.B)
+				f := func(z float64) float64 { return e.edgeLogLikelihood(ac, b, z) }
+				for _, z := range []float64{0.004, 0.13, 1.7} {
+					d1, d2, gain := e.edgeDerivatives(ac, b, z)
+					const h1, h2 = 1e-6, 1e-4
+					fd1 := (f(z+h1) - f(z-h1)) / (2 * h1)
+					fd2 := (f(z+h2) - 2*f(z) + f(z-h2)) / (h2 * h2)
+					if math.Abs(d1-fd1) > 1e-4*(1+math.Abs(fd1)) {
+						t.Errorf("%s z=%g: d1 = %g, finite difference %g", name, z, d1, fd1)
 					}
-					f := func(z float64) float64 { return e.edgeLogLikelihood(ac, b, z) }
-					for _, z := range []float64{0.004, 0.13, 1.7} {
-						d1, d2, gain := e.edgeDerivatives(ac, b, z)
-						const h1, h2 = 1e-6, 1e-4
-						fd1 := (f(z+h1) - f(z-h1)) / (2 * h1)
-						fd2 := (f(z+h2) - 2*f(z) + f(z-h2)) / (h2 * h2)
-						if math.Abs(d1-fd1) > 1e-4*(1+math.Abs(fd1)) {
-							t.Errorf("%s z=%g: d1 = %g, finite difference %g", name, z, d1, fd1)
-						}
-						if math.Abs(d2-fd2) > 1e-3*(1+math.Abs(fd2)) {
-							t.Errorf("%s z=%g: d2 = %g, finite difference %g", name, z, d2, fd2)
-						}
-						want := f(z) - f(MinBranchLength)
-						if math.Abs(gain-want) > 1e-9*(1+math.Abs(f(z))) {
-							t.Errorf("%s z=%g: sumtable gain = %.12g, edgeLogLikelihood gain %.12g", name, z, gain, want)
-						}
+					if math.Abs(d2-fd2) > 1e-3*(1+math.Abs(fd2)) {
+						t.Errorf("%s z=%g: d2 = %g, finite difference %g", name, z, d2, fd2)
+					}
+					want := f(z) - f(MinBranchLength)
+					if math.Abs(gain-want) > 1e-9*(1+math.Abs(f(z))) {
+						t.Errorf("%s z=%g: sumtable gain = %.12g, edgeLogLikelihood gain %.12g", name, z, gain, want)
 					}
 				}
 			}
@@ -603,26 +592,24 @@ func TestNewtonNeverWorseThanStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range sumtableModels(t, p) {
-		for _, prec := range []Precision{Float64, Float32} {
-			e, err := NewWithPrecision(m, p, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.ensureBuffers(tr.MaxID())
-			for _, ed := range tr.Edges() {
-				a := e.downPartial(ed.A, ed.B)
-				b := e.downPartial(ed.B, ed.A)
-				for i := 0; i < 12; i++ {
-					// Log-uniform over the legal interval, bounds included.
-					z0 := clampLen(MinBranchLength * math.Pow(MaxBranchLength/MinBranchLength*1.5, rng.Float64()))
-					z := e.newtonEdge(a, b, z0)
-					if g := e.newtonGain(z0, z); g < 0 {
-						t.Fatalf("%s %v: newtonEdge(%g) = %g, sumtable gain %g < 0", m.Name(), prec, z0, z, g)
-					}
-					l0, l := e.edgeLogLikelihood(a, b, z0), e.edgeLogLikelihood(a, b, z)
-					if l < l0-1e-10*math.Abs(l0) {
-						t.Fatalf("%s %v: newtonEdge(%g) = %g, edge lnL %.15g < start %.15g", m.Name(), prec, z0, z, l, l0)
-					}
+		e, err := New(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ensureBuffers(tr.MaxID())
+		for _, ed := range tr.Edges() {
+			a := e.downPartial(ed.A, ed.B)
+			b := e.downPartial(ed.B, ed.A)
+			for i := 0; i < 12; i++ {
+				// Log-uniform over the legal interval, bounds included.
+				z0 := clampLen(MinBranchLength * math.Pow(MaxBranchLength/MinBranchLength*1.5, rng.Float64()))
+				z := e.newtonEdge(a, b, z0)
+				if g := e.newtonGain(z0, z); g < 0 {
+					t.Fatalf("%s: newtonEdge(%g) = %g, sumtable gain %g < 0", m.Name(), z0, z, g)
+				}
+				l0, l := e.edgeLogLikelihood(a, b, z0), e.edgeLogLikelihood(a, b, z)
+				if l < l0-1e-10*math.Abs(l0) {
+					t.Fatalf("%s: newtonEdge(%g) = %g, edge lnL %.15g < start %.15g", m.Name(), z0, z, l, l0)
 				}
 			}
 		}

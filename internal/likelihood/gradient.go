@@ -2,7 +2,6 @@ package likelihood
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tree"
 )
@@ -16,7 +15,7 @@ import (
 // cache stores), the pre-order pass fills each up-partial — which in
 // the per-directed-edge cache is just partial(parent, child), the rest
 // of the tree seen across the edge — and then every edge's ∂lnL/∂z and
-// ∂²lnL/∂z² fall out of one sharded reduction over its two directed
+// ∂²lnL/∂z² fall out of one shard-ordered reduction over its two directed
 // partials. Both passes run through the same memoized partial()
 // recursion the evaluator uses, so they reuse the fused combine2/AVX2
 // machinery and cost exactly one fill per directed edge per round.
@@ -238,14 +237,10 @@ func (e *CachedEngine) optimizeBranchesGradient(t *tree.Tree, opt OptOptions, an
 				break
 			}
 			if halves == gradMaxBacktrack {
-				if prev-lnL < opt.Tol+e.evalNoise(prev) {
+				if prev-lnL < opt.Tol {
 					// No improving step exists, but the loss is within
-					// the requested tolerance plus the precision's
-					// evaluation-noise floor (which float32 reaches
-					// well before Tol: two evaluations of the same
-					// optimum legitimately differ by the Float32LnL
-					// contract bound). Restore the better round-start
-					// state and report convergence.
+					// the requested tolerance. Restore the better
+					// round-start state and report convergence.
 					for i := range e.gradBuf {
 						tree.SetLen(e.gradBuf[i].A, e.gradBuf[i].B, e.gradOld[i])
 					}
@@ -261,18 +256,6 @@ func (e *CachedEngine) optimizeBranchesGradient(t *tree.Tree, opt OptOptions, an
 		}
 	}
 	return lnL, nil
-}
-
-// evalNoise is the log-likelihood difference magnitude that rounding
-// alone can produce between two evaluations at the engine's CLV
-// precision — the resolution limit any improvement test must respect.
-// Float64 evaluations resolve far below every Tol in use; float32's
-// limit is the documented agreement contract (Float32LnLRelTol).
-func (e *CachedEngine) evalNoise(lnL float64) float64 {
-	if e.prec == Float32 {
-		return math.Abs(lnL) * Float32LnLRelTol
-	}
-	return 0
 }
 
 // gradFallback reverts the failed simultaneous update (restoring the

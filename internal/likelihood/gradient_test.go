@@ -39,41 +39,35 @@ func TestParseSmoothMode(t *testing.T) {
 // the scale counts and the per-pattern log it drops only ever fed the
 // likelihood value, never the derivative terms.
 func TestBranchGradientsMatchDerivKernel(t *testing.T) {
-	for _, prec := range []Precision{Float64, Float32} {
-		m, p, tr := threadFixture(t, 31, 14, 500)
-		eng, err := NewWithPrecision(m, p, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads, lnL, err := eng.BranchGradients(tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(grads) != len(tr.Edges()) {
-			t.Fatalf("prec=%v: %d gradient entries, tree has %d edges", prec, len(grads), len(tr.Edges()))
-		}
-		want, err := eng.LogLikelihood(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// BranchGradients reduces at a (possibly) different edge than
-		// LogLikelihood, so agreement is to rounding, not bits.
-		rel, abs := 1e-9, 1e-7
-		if prec == Float32 {
-			rel, abs = Float32LnLRelTol, Float32LnLAbsTol
-		}
-		if !withinTol(lnL, want, rel, abs) {
-			t.Errorf("prec=%v: BranchGradients lnL %.17g != LogLikelihood %.17g", prec, lnL, want)
-		}
-		for _, g := range grads {
-			a, _ := eng.partial(g.A, g.B)
-			b, _ := eng.partial(g.B, g.A)
-			d1, d2, _ := eng.edgeDerivatives(a, b, g.Z)
-			if math.Float64bits(g.D1) != math.Float64bits(d1) ||
-				math.Float64bits(g.D2) != math.Float64bits(d2) {
-				t.Errorf("prec=%v edge %d-%d: gradient (%.17g, %.17g) != deriv kernel (%.17g, %.17g)",
-					prec, g.A.ID, g.B.ID, g.D1, g.D2, d1, d2)
-			}
+	m, p, tr := shardFixture(t, 31, 14, 500)
+	eng, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads, lnL, err := eng.BranchGradients(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grads) != len(tr.Edges()) {
+		t.Fatalf("%d gradient entries, tree has %d edges", len(grads), len(tr.Edges()))
+	}
+	want, err := eng.LogLikelihood(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// BranchGradients reduces at a (possibly) different edge than
+	// LogLikelihood, so agreement is to rounding, not bits.
+	if !withinTol(lnL, want, 1e-9, 1e-7) {
+		t.Errorf("BranchGradients lnL %.17g != LogLikelihood %.17g", lnL, want)
+	}
+	for _, g := range grads {
+		a, _ := eng.partial(g.A, g.B)
+		b, _ := eng.partial(g.B, g.A)
+		d1, d2, _ := eng.edgeDerivatives(a, b, g.Z)
+		if math.Float64bits(g.D1) != math.Float64bits(d1) ||
+			math.Float64bits(g.D2) != math.Float64bits(d2) {
+			t.Errorf("edge %d-%d: gradient (%.17g, %.17g) != deriv kernel (%.17g, %.17g)",
+				g.A.ID, g.B.ID, g.D1, g.D2, d1, d2)
 		}
 	}
 }
@@ -161,7 +155,7 @@ func TestGradientSmoothMatchesSweep(t *testing.T) {
 		return fixtureCase{m, p, tr}
 	})
 	run("random-12taxa", func(tb testing.TB) fixtureCase {
-		m, p, tr := threadFixture(tb, 7, 12, 300)
+		m, p, tr := shardFixture(tb, 7, 12, 300)
 		return fixtureCase{m, p, tr}
 	})
 	run("caterpillar-48taxa", func(tb testing.TB) fixtureCase {
@@ -170,71 +164,11 @@ func TestGradientSmoothMatchesSweep(t *testing.T) {
 	})
 }
 
-// TestGradientThreadedBitIdentical extends the determinism contract to
-// the gradient path: the all-branches gradient, the round likelihood,
-// and the final smoothed tree must be bit-identical at every thread
-// count.
-func TestGradientThreadedBitIdentical(t *testing.T) {
-	m, p, tr := threadFixture(t, 11, 20, 600)
-
-	ref, err := New(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGrads, refLnL, err := ref.BranchGradients(tr.Clone(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTree := tr.Clone()
-	refOpt, err := ref.OptimizeBranches(refTree, OptOptions{Passes: 8, Mode: SmoothGradient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refNewick := refTree.Newick()
-	ref.Close()
-
-	for _, n := range []int{2, 4, 7} {
-		eng, err := New(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetThreads(n)
-		grads, lnL, err := eng.BranchGradients(tr.Clone(), nil)
-		if err != nil {
-			t.Fatalf("threads=%d: %v", n, err)
-		}
-		if math.Float64bits(lnL) != math.Float64bits(refLnL) {
-			t.Errorf("threads=%d: gradient lnL %.17g != serial %.17g", n, lnL, refLnL)
-		}
-		if len(grads) != len(refGrads) {
-			t.Fatalf("threads=%d: %d gradients, serial %d", n, len(grads), len(refGrads))
-		}
-		for i := range grads {
-			if math.Float64bits(grads[i].D1) != math.Float64bits(refGrads[i].D1) ||
-				math.Float64bits(grads[i].D2) != math.Float64bits(refGrads[i].D2) {
-				t.Errorf("threads=%d: gradient %d not bit-identical to serial", n, i)
-			}
-		}
-		cand := tr.Clone()
-		opt, err := eng.OptimizeBranches(cand, OptOptions{Passes: 8, Mode: SmoothGradient})
-		if err != nil {
-			t.Fatalf("threads=%d: optimize: %v", n, err)
-		}
-		if math.Float64bits(opt) != math.Float64bits(refOpt) {
-			t.Errorf("threads=%d: optimized lnL %.17g != serial %.17g", n, opt, refOpt)
-		}
-		if nwk := cand.Newick(); nwk != refNewick {
-			t.Errorf("threads=%d: optimized tree differs from serial:\n got %s\nwant %s", n, nwk, refNewick)
-		}
-		eng.Close()
-	}
-}
-
 // TestGradientRestrictedUsesSweep pins the dispatch rule: Around/Centers
 // optimizations ignore SmoothGradient and produce exactly the sweep's
 // result, with no gradient rounds recorded.
 func TestGradientRestrictedUsesSweep(t *testing.T) {
-	m, p, tr := threadFixture(t, 13, 12, 400)
+	m, p, tr := shardFixture(t, 13, 12, 400)
 	center := tr.AnyNode()
 
 	sweepEng, err := New(m, p)
@@ -273,9 +207,8 @@ func centerIn(t *tree.Tree, n *tree.Node) *tree.Node { return t.Nodes[n.ID] }
 
 // TestGradientZeroAllocSteadyState asserts the gradient smoothing path
 // holds the arena contract the evaluation path already has: once warm,
-// perturb-and-resmooth rounds allocate nothing, in either precision,
-// serial or threaded. (The sequential sweep's per-pass bookkeeping
-// allocates; the gradient path must not.)
+// perturb-and-resmooth rounds allocate nothing. (The sequential
+// sweep's per-pass bookkeeping allocates; the gradient path must not.)
 func TestGradientZeroAllocSteadyState(t *testing.T) {
 	m, p, tr := caterpillarFixture(t, 3, 12, 400)
 	edges := tr.Edges()
@@ -293,33 +226,25 @@ func TestGradientZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, threads := range []int{1, 4} {
-			eng, err := NewWithPrecision(m, p, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if threads > 1 {
-				eng.SetThreads(threads)
-			}
-			opt := OptOptions{Passes: 16, Mode: SmoothGradient}
-			perturb()
-			if _, err := eng.OptimizeBranches(tr, opt); err != nil {
-				t.Fatal(err)
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				perturb()
-				if _, err := eng.OptimizeBranches(tr, opt); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: warm gradient smoothing allocates %.1f/op, want 0", prec, threads, n)
-			}
-			if st := eng.Stats(); st.GradFallbacks != 0 {
-				t.Errorf("prec=%v threads=%d: %d gradient fallbacks during steady-state rounds", prec, threads, st.GradFallbacks)
-			}
-			eng.Close()
+	eng, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := OptOptions{Passes: 16, Mode: SmoothGradient}
+	perturb()
+	if _, err := eng.OptimizeBranches(tr, opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		perturb()
+		if _, err := eng.OptimizeBranches(tr, opt); err != nil {
+			t.Fatal(err)
 		}
+	}); n > 0 {
+		t.Errorf("warm gradient smoothing allocates %.1f/op, want 0", n)
+	}
+	if st := eng.Stats(); st.GradFallbacks != 0 {
+		t.Errorf("%d gradient fallbacks during steady-state rounds", st.GradFallbacks)
 	}
 }
 

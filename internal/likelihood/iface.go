@@ -16,13 +16,13 @@ import (
 // harness in internal/likelihood/difftest.
 //
 // The interface is deliberately minimal: evaluation, branch smoothing,
-// and insertion scoring. Everything else — kernel threading, CLV
-// precision, cache statistics, explicit invalidation, op counting — is a
-// capability expressed as a small optional sub-interface (Threader,
-// PrecisionReporter, StatsReporter, Invalidator, OpsReporter, Closer)
-// that minimal engines simply do not implement. Callers reach
-// capabilities through the package helpers (SetEngineThreads, StatsOf,
-// ...) which no-op or return zero values on engines without them.
+// and insertion scoring. Everything else — cache statistics, op
+// counting, the all-branches gradient, releasing resources — is a
+// capability expressed as a small optional sub-interface (StatsReporter,
+// OpsReporter, GradientSmoother, Closer) that minimal engines simply do
+// not implement. Callers reach capabilities through the package helpers
+// (StatsOf, OpsOf, ...) which no-op or return zero values on engines
+// without them.
 //
 // Implementations are not safe for concurrent use; each worker owns one.
 type Engine interface {
@@ -70,28 +70,12 @@ type InsertScorer interface {
 	Score(ed tree.Edge, passes int) (InsertScore, error)
 }
 
-// Threader is the kernel-threading capability: engines that can fan
-// their pattern-dimension kernels out over a goroutine pool. The
-// contract is strict determinism — results bit-identical at any count.
-type Threader interface {
-	// SetThreads sizes the kernel pool; n <= 1 restores single-threaded
-	// operation. Must not be called during an evaluation.
-	SetThreads(n int)
-	// Threads reports the configured kernel thread count.
-	Threads() int
-}
-
-// Closer is implemented by engines holding resources (goroutine pools,
-// mapped memory) that should be released when the engine is discarded.
+// Closer is implemented by engines holding resources (mapped memory,
+// connections, wrapped engines) that should be released when the engine
+// is discarded.
 type Closer interface {
 	// Close releases the engine's resources; it must be idempotent.
 	Close()
-}
-
-// PrecisionReporter is implemented by engines whose CLV storage format
-// is selectable; Precision reports the active format.
-type PrecisionReporter interface {
-	Precision() Precision
 }
 
 // StatsReporter is the cache/instrumentation capability.
@@ -127,54 +111,16 @@ type GradientSmoother interface {
 	BranchGradients(t *tree.Tree, dst []BranchGrad) ([]BranchGrad, float64, error)
 }
 
-// Invalidator is the explicit cache-invalidation capability, for
-// callers that mutate branch lengths behind the tree package's back.
-type Invalidator interface {
-	// InvalidateAll marks every cached vector stale.
-	InvalidateAll()
-	// InvalidateEdge marks stale every cached vector that depends on the
-	// length of edge (a, b).
-	InvalidateEdge(a, b *tree.Node)
-}
-
 // Capability helpers: callers that hold a plain Engine use these to
 // exercise optional capabilities without type-asserting at every site.
 // Each is a no-op (or returns a zero value) when the engine lacks the
 // capability, so minimal backends work everywhere the cached one does.
-
-// SetEngineThreads sets the kernel thread count when the engine supports
-// threading and reports whether it did.
-func SetEngineThreads(e Engine, n int) bool {
-	if t, ok := e.(Threader); ok {
-		t.SetThreads(n)
-		return true
-	}
-	return false
-}
-
-// EngineThreads reports the engine's kernel thread count (1 when the
-// engine does not thread).
-func EngineThreads(e Engine) int {
-	if t, ok := e.(Threader); ok {
-		return t.Threads()
-	}
-	return 1
-}
 
 // CloseEngine releases the engine's resources when it holds any.
 func CloseEngine(e Engine) {
 	if c, ok := e.(Closer); ok {
 		c.Close()
 	}
-}
-
-// PrecisionOf reports the engine's CLV precision (Float64 when the
-// engine does not expose one).
-func PrecisionOf(e Engine) Precision {
-	if p, ok := e.(PrecisionReporter); ok {
-		return p.Precision()
-	}
-	return Float64
 }
 
 // StatsOf returns the engine's instrumentation counters (zero when the
@@ -208,15 +154,10 @@ func OpsOf(e Engine) uint64 {
 
 // Compile-time interface conformance for the in-tree backends.
 var (
-	_ Engine            = (*CachedEngine)(nil)
-	_ Threader          = (*CachedEngine)(nil)
-	_ Closer            = (*CachedEngine)(nil)
-	_ PrecisionReporter = (*CachedEngine)(nil)
-	_ StatsReporter     = (*CachedEngine)(nil)
-	_ OpsReporter       = (*CachedEngine)(nil)
-	_ Invalidator       = (*CachedEngine)(nil)
-	_ GradientSmoother  = (*CachedEngine)(nil)
+	_ Engine           = (*CachedEngine)(nil)
+	_ StatsReporter    = (*CachedEngine)(nil)
+	_ OpsReporter      = (*CachedEngine)(nil)
+	_ GradientSmoother = (*CachedEngine)(nil)
 
-	_ Engine            = (*ReferenceEngine)(nil)
-	_ PrecisionReporter = (*ReferenceEngine)(nil)
+	_ Engine = (*ReferenceEngine)(nil)
 )

@@ -25,20 +25,13 @@ import (
 //     interleaved kernels evaluated, in the same order, so float64
 //     results are bit-identical to the pre-SoA engine.
 //
-// The kernels are generic over the CLV element type (clvFloat): pruning
-// combines and rescaling run entirely in T, while every log-likelihood
-// and derivative reduction converts T to float64 at the load and
-// accumulates in float64 — identical math for T=float64, and much
-// better-conditioned sums than float32 accumulation for T=float32.
-
-// clvFloat is the element type of a conditional likelihood vector.
-type clvFloat interface {
-	float32 | float64
-}
+// Every log-likelihood and derivative reduction accumulates with one
+// accumulator threaded through a shard's segments (shard.go), so the
+// summation grouping is fixed by the data alone.
 
 // lanes returns the four state lanes of a SoA CLV buffer restricted to
 // the padded range [lo, lo+n).
-func lanes[T clvFloat](clv []T, npad, lo, n int) (l0, l1, l2, l3 []T) {
+func lanes(clv []float64, npad, lo, n int) (l0, l1, l2, l3 []float64) {
 	l0 = clv[lo : lo+n]
 	l1 = clv[npad+lo : npad+lo+n]
 	l2 = clv[2*npad+lo : 2*npad+lo+n]
@@ -48,7 +41,7 @@ func lanes[T clvFloat](clv []T, npad, lo, n int) (l0, l1, l2, l3 []T) {
 
 // segCombineFirst assigns dst = P·src over the padded range [lo, lo+n):
 // the first child-edge combine of a Felsenstein pruning step.
-func segCombineFirst[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
+func segCombineFirst(dst, src []float64, m *[4][4]float64, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -68,7 +61,7 @@ func segCombineFirst[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
 
 // segCombineMul multiplies dst *= P·src over the padded range
 // [lo, lo+n): subsequent child-edge combines.
-func segCombineMul[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
+func segCombineMul(dst, src []float64, m *[4][4]float64, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -91,7 +84,7 @@ func segCombineMul[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
 // single store, eliminating the separate read-modify-write rescale pass.
 // The products are the same floating-point operations the unfused
 // combine-then-rescale sequence performs, so results are bit-identical.
-func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, thresh, factor T, npad, lo, n int) {
+func segCombineFirstResc(dst, src []float64, m *[4][4]float64, dsc, ssc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -121,11 +114,11 @@ func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32,
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -135,7 +128,7 @@ func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32,
 
 // segCombineMulResc is segCombineMul fused with rescaling and scale
 // accumulation, used for the last child combine of a pruning step.
-func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, thresh, factor T, npad, lo, n int) {
+func segCombineMulResc(dst, src []float64, m *[4][4]float64, dsc, ssc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -165,11 +158,11 @@ func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, t
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -185,8 +178,7 @@ func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, t
 // stay in registers between the two matrix applications. The products
 // are the same floating-point operations the first/mul kernel pair
 // performs, so results are bit-identical.
-func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int32,
-	thresh, factor T, npad, lo, n int) {
+func segCombine2(dst, a, b []float64, ma, mb *[4][4]float64, dsc, asc, bsc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	a0, a1, a2, a3 := lanes(a, npad, lo, n)
 	b0, b1, b2, b3 := lanes(b, npad, lo, n)
@@ -225,11 +217,11 @@ func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -241,8 +233,8 @@ func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int
 // [lo, lo+n) into acc and returns it. The accumulator threads through
 // the caller's segment loop so the summation order over a shard is one
 // unbroken pattern sequence, exactly as the interleaved kernel summed.
-func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
-	pm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int, acc float64) float64 {
+func segEdgeLnL(aclv, bclv []float64, asc, bsc []int32, w []float64,
+	pm *model.PMatrix, f *[4]float64, npad, lo, n int, acc float64) float64 {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
 	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
@@ -259,16 +251,16 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 	sb := bsc[lo : lo+n]
 	sb = sb[:len(a0)]
 	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * float64(a0[i]) * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * float64(a1[i]) * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * float64(a2[i]) * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * float64(a3[i]) * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
+		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
+		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
+		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		acc += wv[i] * (math.Log(lkl) - float64(sa[i]+sb[i])*logSc)
+		acc += wv[i] * (math.Log(lkl) - float64(sa[i]+sb[i])*logScale)
 	}
 	return acc
 }
@@ -294,7 +286,7 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 
 // segSumBuild fills the sumtable rows of the padded range [lo, lo+n);
 // mid holds G_k for the middle terms k = 1..K-2.
-func segSumBuild[T clvFloat](st [][4]float64, aclv, bclv []T, f *[4]float64,
+func segSumBuild(st [][4]float64, aclv, bclv []float64, f *[4]float64,
 	mid []model.PMatrix, npad, lo, n int) {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
@@ -306,8 +298,8 @@ func segSumBuild[T clvFloat](st [][4]float64, aclv, bclv []T, f *[4]float64,
 	mid = mid[:min(len(mid), 2)] // K ≤ 4; the cap also drops the bounds check on row[k+1]
 	last := len(mid) + 1
 	for i := range a0 {
-		x0, x1, x2, x3 := float64(a0[i]), float64(a1[i]), float64(a2[i]), float64(a3[i])
-		y0, y1, y2, y3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		x0, x1, x2, x3 := a0[i], a1[i], a2[i], a3[i]
+		y0, y1, y2, y3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		fa0, fa1, fa2, fa3 := f0*x0, f1*x1, f2*x2, f3*x3
 		s0 := (fa0 + fa1 + fa2 + fa3) * (f0*y0 + f1*y1 + f2*y2 + f3*y3)
 		rem := fa0*y0 + fa1*y1 + fa2*y2 + fa3*y3 - s0
@@ -391,8 +383,8 @@ func segSumGain(st [][4]float64, w []float64, c, c0 *sumCoef, lo, n int, acc flo
 // segSiteLnL writes the per-pattern (unweighted) log-likelihoods over
 // [lo, lo+n) into out at each pattern's original (pre-permutation)
 // index, given by orig.
-func segSiteLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, orig []int, out []float64,
-	pm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int) {
+func segSiteLnL(aclv, bclv []float64, asc, bsc []int32, orig []int, out []float64,
+	pm *model.PMatrix, f *[4]float64, npad, lo, n int) {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
 	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
@@ -409,16 +401,16 @@ func segSiteLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, orig []int, out []
 	sb := bsc[lo : lo+n]
 	sb = sb[:len(a0)]
 	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * float64(a0[i]) * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * float64(a1[i]) * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * float64(a2[i]) * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * float64(a3[i]) * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
+		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
+		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
+		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		out[og[i]] = math.Log(lkl) - float64(sa[i]+sb[i])*logSc
+		out[og[i]] = math.Log(lkl) - float64(sa[i]+sb[i])*logScale
 	}
 }
 

@@ -77,12 +77,12 @@ func combine2F64(dst, a, b []float64, ma, mb *[4][4]float64, tab *[33][4]float64
 		if done < g {
 			// The next group has a pattern that rescales; the scalar
 			// kernel is the reference for that path.
-			segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, scaleThreshold, scaleFactor, npad, lo, 4)
+			segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, npad, lo, 4)
 			lo += 4
 			n -= 4
 		}
 	}
 	if n > 0 {
-		segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, scaleThreshold, scaleFactor, npad, lo, n)
+		segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, npad, lo, n)
 	}
 }

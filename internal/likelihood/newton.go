@@ -320,10 +320,11 @@ func (e *CachedEngine) initSumtable() error {
 // cost of a direct quadratic form.
 func (e *CachedEngine) buildSumtable(a, b clvRef) {
 	e.ops += uint64(e.npat) * 16 * uint64(e.stK)
-	k := &e.kern
-	k.op = kSumBuild
-	k.a, k.b = a, b
-	e.runShards()
+	freqs := (*[4]float64)(&e.freqs)
+	mid := e.stG[1 : e.stK-1]
+	for _, blk := range e.blocks {
+		segSumBuild(e.sumtab, a.v, b.v, freqs, mid, e.npad, blk.plo, blk.hi-blk.lo)
+	}
 }
 
 // fillSumCoef computes every rate class's sumtable weights at length z.
@@ -343,18 +344,20 @@ func (e *CachedEngine) fillSumCoef(dst []sumCoef, z float64) {
 
 // newtonDerivs implements edgeObjective over the current sumtable: the
 // first and second derivatives of the edge log-likelihood at z, one
-// derivative-only kernel pass with an ordered shard reduction. It counts
+// derivative-only kernel pass with a shard-ordered reduction. It counts
 // as one Newton iteration.
 func (e *CachedEngine) newtonDerivs(z float64) (float64, float64) {
 	e.fillSumCoef(e.stCoef, clampLen(z))
 	e.ops += uint64(e.npat) * 3 * uint64(e.stK)
 	e.stats.NewtonIters++
-	e.kern.op = kSumDeriv
-	e.runShards()
 	d1, d2 := 0.0, 0.0
-	for s := range e.shards {
-		d1 += e.shD1[s]
-		d2 += e.shD2[s]
+	for _, sh := range e.shards {
+		var acc derivAcc
+		for _, seg := range sh.segs {
+			acc = segSumDeriv(e.sumtab, e.weights, &e.stCoef[seg.ci], seg.plo, seg.hi-seg.lo, acc)
+		}
+		d1 += acc.d1
+		d2 += acc.d2
 	}
 	return d1, d2
 }
@@ -365,11 +368,13 @@ func (e *CachedEngine) newtonGain(z0, z float64) float64 {
 	e.fillSumCoef(e.stCoef0, clampLen(z0))
 	e.fillSumCoef(e.stCoef, clampLen(z))
 	e.ops += uint64(e.npat) * 2 * uint64(e.stK)
-	e.kern.op = kSumGain
-	e.runShards()
 	total := 0.0
-	for s := range e.shards {
-		total += e.shLnL[s]
+	for _, sh := range e.shards {
+		part := 0.0
+		for _, seg := range sh.segs {
+			part = segSumGain(e.sumtab, e.weights, &e.stCoef[seg.ci], &e.stCoef0[seg.ci], seg.plo, seg.hi-seg.lo, part)
+		}
+		total += part
 	}
 	return total
 }

@@ -12,7 +12,7 @@ import (
 // ReferenceEngine is the deliberately simple Engine used as the trusted
 // side of differential testing (internal/likelihood/difftest): direct
 // post-order recomputation of every conditional likelihood vector on
-// every call — no CLV cache, no SIMD kernels, no thread pool, no arena.
+// every call — no CLV cache, no SIMD kernels, no arena.
 // Every CLV is a fresh array-of-structs allocation and every evaluation
 // walks the whole tree, so it is slow on purpose: the implementation
 // stays short enough to audit by eye, which is the property that makes
@@ -23,20 +23,15 @@ import (
 // smoothing traversal and anchor rule, the shared newtonStep damping and
 // newtonDrive accept/reject policies, the same rescaling thresholds —
 // but not its floating-point summation order, so agreement is to the
-// difftest tolerance, not bit identity. In Float32 mode it emulates float32 CLV storage by rounding
-// each stored component to float32 (arithmetic stays float64), with the
-// aggressive float32 rescaling threshold; the Float32*Tol contract
-// covers the residual difference from the cached engine's true float32
-// kernels.
+// difftest tolerance, not bit identity.
 //
-// ReferenceEngine implements only the PrecisionReporter capability: it
-// has no threads to set, no cache to invalidate, and keeps no stats.
+// ReferenceEngine implements no optional capability: it has no cache to
+// invalidate and keeps no stats.
 type ReferenceEngine struct {
 	mdl    model.Model
 	pat    *seq.Patterns
 	freqs  seq.BaseFreqs
 	decomp *model.Decomposition
-	prec   Precision
 
 	npat       int
 	classRates []float64 // distinct per-pattern rates
@@ -47,10 +42,6 @@ type ReferenceEngine struct {
 	// Scratch transition matrices, one per rate class; pmB holds the
 	// second edge's matrices during a two-sided junction combine.
 	pm, pmB, dm, ddm []model.PMatrix
-
-	logScaleV float64
-	threshV   float64 // rescale threshold for this precision
-	factorV   float64 // rescale factor for this precision
 
 	// edgeA/edgeB are the directed partials of the edge newtonEdge is
 	// optimizing: the edgeObjective that newtonDrive evaluates.
@@ -65,8 +56,8 @@ type refCLV struct {
 }
 
 // NewReference builds a reference engine over the given model and
-// compressed patterns at the given CLV precision.
-func NewReference(m model.Model, p *seq.Patterns, prec Precision) (*ReferenceEngine, error) {
+// compressed patterns.
+func NewReference(m model.Model, p *seq.Patterns) (*ReferenceEngine, error) {
 	if p.NumPatterns() == 0 {
 		return nil, fmt.Errorf("likelihood: empty pattern set")
 	}
@@ -75,13 +66,7 @@ func NewReference(m model.Model, p *seq.Patterns, prec Precision) (*ReferenceEng
 		pat:    p,
 		freqs:  m.Freqs(),
 		decomp: m.Decomposition(),
-		prec:   prec,
 		npat:   p.NumPatterns(),
-	}
-	if prec == Float32 {
-		e.logScaleV, e.threshV, e.factorV = logScale32, scaleThreshold32, float64(scaleFactor32)
-	} else {
-		e.logScaleV, e.threshV, e.factorV = logScale, scaleThreshold, scaleFactor
 	}
 	classIdx := make(map[float64]int)
 	e.classOf = make([]int, e.npat)
@@ -123,18 +108,6 @@ func (e *ReferenceEngine) Model() model.Model { return e.mdl }
 // Patterns returns the engine's data set.
 func (e *ReferenceEngine) Patterns() *seq.Patterns { return e.pat }
 
-// Precision returns the engine's (emulated) CLV storage precision.
-func (e *ReferenceEngine) Precision() Precision { return e.prec }
-
-// round emulates the storage precision: Float32 engines store CLV
-// components as float32, so the reference rounds each stored value.
-func (e *ReferenceEngine) round(x float64) float64 {
-	if e.prec == Float32 {
-		return float64(float32(x))
-	}
-	return x
-}
-
 func (e *ReferenceEngine) fillPMInto(dst []model.PMatrix, z float64) {
 	for ci, r := range e.classRates {
 		e.decomp.Probs(z, r, &dst[ci])
@@ -154,7 +127,7 @@ func (e *ReferenceEngine) tip(taxon int) refCLV {
 
 // rescale applies the per-pattern underflow guard to a freshly filled
 // CLV: when a pattern's maximum conditional likelihood falls below the
-// precision's threshold (and is still positive — padding and impossible
+// scaling threshold (and is still positive — padding and impossible
 // states stay zero), every component is scaled up and the event counted.
 func (e *ReferenceEngine) rescale(out refCLV) {
 	for p := 0; p < e.npat; p++ {
@@ -164,9 +137,9 @@ func (e *ReferenceEngine) rescale(out refCLV) {
 				m = out.v[p][i]
 			}
 		}
-		if m > 0 && m < e.threshV {
+		if m > 0 && m < scaleThreshold {
 			for i := 0; i < 4; i++ {
-				out.v[p][i] = e.round(out.v[p][i] * e.factorV)
+				out.v[p][i] *= scaleFactor
 			}
 			out.sc[p]++
 		}
@@ -189,11 +162,11 @@ func (e *ReferenceEngine) partial(n, parent *tree.Node) refCLV {
 			m := &e.pm[e.classOf[p]]
 			cv := &cc.v[p]
 			for i := 0; i < 4; i++ {
-				s := e.round(m[i][0]*cv[0] + m[i][1]*cv[1] + m[i][2]*cv[2] + m[i][3]*cv[3])
+				s := m[i][0]*cv[0] + m[i][1]*cv[1] + m[i][2]*cv[2] + m[i][3]*cv[3]
 				if ki == 0 {
 					out.v[p][i] = s
 				} else {
-					out.v[p][i] = e.round(out.v[p][i] * s)
+					out.v[p][i] *= s
 				}
 			}
 			if ki == 0 {
@@ -218,9 +191,9 @@ func (e *ReferenceEngine) combine2(a, b refCLV, za, zb float64) refCLV {
 		mb := &e.pmB[e.classOf[p]]
 		av, bv := &a.v[p], &b.v[p]
 		for i := 0; i < 4; i++ {
-			sa := e.round(ma[i][0]*av[0] + ma[i][1]*av[1] + ma[i][2]*av[2] + ma[i][3]*av[3])
-			sb := e.round(mb[i][0]*bv[0] + mb[i][1]*bv[1] + mb[i][2]*bv[2] + mb[i][3]*bv[3])
-			out.v[p][i] = e.round(sa * sb)
+			sa := ma[i][0]*av[0] + ma[i][1]*av[1] + ma[i][2]*av[2] + ma[i][3]*av[3]
+			sb := mb[i][0]*bv[0] + mb[i][1]*bv[1] + mb[i][2]*bv[2] + mb[i][3]*bv[3]
+			out.v[p][i] = sa * sb
 		}
 		out.sc[p] = a.sc[p] + b.sc[p]
 	}
@@ -243,7 +216,7 @@ func (e *ReferenceEngine) edgeLnL(a, b refCLV, z float64) float64 {
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		total += e.pat.Weights[p] * (math.Log(lkl) - float64(a.sc[p]+b.sc[p])*e.logScaleV)
+		total += e.pat.Weights[p] * (math.Log(lkl) - float64(a.sc[p]+b.sc[p])*logScale)
 	}
 	return total
 }
@@ -332,7 +305,7 @@ func (e *ReferenceEngine) SiteLogLikelihoods(t *tree.Tree) ([]float64, error) {
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		out[p] = math.Log(lkl) - float64(a.sc[p]+b.sc[p])*e.logScaleV
+		out[p] = math.Log(lkl) - float64(a.sc[p]+b.sc[p])*logScale
 	}
 	return out, nil
 }

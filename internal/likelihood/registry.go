@@ -18,17 +18,19 @@ import (
 // CLV-cached production engine.
 const DefaultEngine = "cached"
 
-// EngineOptions carry the construction-time knobs every factory
-// receives. Factories ignore options their backend has no use for (the
-// reference engine ignores Threads, for example) — the capability
-// helpers keep the rest of the program honest about what stuck.
-type EngineOptions struct {
-	// Precision selects the CLV storage format (Float64 default).
-	Precision Precision
-	// Threads is the kernel thread count for backends that shard
-	// (values < 1 mean 1).
-	Threads int
-}
+// EngineOptions carries construction-time settings to every factory.
+// No in-tree backend has any today; the type stays so the Factory
+// signature, which the perfbench harness implements, does not change.
+type EngineOptions struct{}
+
+// Precision names a CLV storage format, and Float64 is the only one:
+// engines store float64 conditional likelihoods. Both remain only
+// because the perfbench harness passes Float64 to
+// difftest.DefaultTolerance; they go with the next change to perfbench.
+type Precision uint8
+
+// Float64 is the float64 CLV storage format.
+const Float64 Precision = 0
 
 // Factory constructs one engine over a fixed model and data set.
 type Factory func(m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error)
@@ -79,17 +81,10 @@ func NewEngine(name string, m model.Model, p *seq.Patterns, opt EngineOptions) (
 }
 
 func init() {
-	Register("cached", func(m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error) {
-		e, err := NewWithPrecision(m, p, opt.Precision)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Threads > 1 {
-			e.SetThreads(opt.Threads)
-		}
-		return e, nil
+	Register("cached", func(m model.Model, p *seq.Patterns, _ EngineOptions) (Engine, error) {
+		return New(m, p)
 	})
-	Register("reference", func(m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error) {
-		return NewReference(m, p, opt.Precision)
+	Register("reference", func(m model.Model, p *seq.Patterns, _ EngineOptions) (Engine, error) {
+		return NewReference(m, p)
 	})
 }

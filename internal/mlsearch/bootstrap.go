@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/likelihood"
@@ -29,10 +30,6 @@ type DataBundle struct {
 	SiteRates []float64
 	// Weights are optional per-site weights (empty = uniform).
 	Weights []float64
-	// Precision is the CLV storage format workers should evaluate with
-	// (zero value = likelihood.Float64). A worker started with an
-	// explicit -precision flag overrides it locally.
-	Precision likelihood.Precision
 	// Engine names the likelihood backend workers should build (see
 	// likelihood.Engines; empty = likelihood.DefaultEngine). A worker
 	// started with an explicit -engine flag overrides it locally.
@@ -49,6 +46,13 @@ const (
 	extBundleEngine byte = 1 + iota
 	extBundleSmoothMode
 )
+
+// ErrBundlePrecision rejects a data bundle whose CLV precision slot is
+// not 0. The 4-byte slot after the weights once selected float32
+// storage; writers now always put 0 there, and engines store float64
+// only, so a bundle from a master that asks for anything else cannot be
+// honored.
+var ErrBundlePrecision = errors.New("mlsearch: data bundle requests a CLV precision other than float64")
 
 const (
 	bootData    byte = 0x44 // 'D'
@@ -69,7 +73,7 @@ func MarshalDataBundle(b DataBundle) []byte {
 	for _, x := range b.Weights {
 		w.f64(x)
 	}
-	w.i32(int32(b.Precision))
+	w.i32(0) // CLV precision slot: always 0, float64
 	if b.Engine != "" {
 		w.ext(extBundleEngine, []byte(b.Engine))
 	}
@@ -79,7 +83,13 @@ func MarshalDataBundle(b DataBundle) []byte {
 	return w.buf
 }
 
-// UnmarshalDataBundle decodes a bundle.
+// UnmarshalDataBundle decodes a bundle. Decoding is strict, unlike the
+// Task and Result envelopes: the bundle decides how every result is
+// computed, so a field this worker does not understand (an unknown
+// extension tag, a smoothing mode it cannot parse, a nonzero precision
+// slot) is an error rather than something to skip, and extensions must
+// appear once each in tag order, in their canonical form. Every bundle
+// that decodes therefore re-encodes to the same bytes.
 func UnmarshalDataBundle(data []byte) (DataBundle, error) {
 	if len(data) == 0 || data[0] != bootData {
 		return DataBundle{}, fmt.Errorf("mlsearch: not a data bundle")
@@ -89,28 +99,58 @@ func UnmarshalDataBundle(data []byte) (DataBundle, error) {
 		PhylipText: []byte(r.str("bundle alignment")),
 		TTRatio:    r.f64("bundle ratio"),
 	}
-	n := r.i32("bundle rate count")
-	for i := int32(0); i < n && r.err == nil; i++ {
-		b.SiteRates = append(b.SiteRates, r.f64("bundle rate"))
+	b.SiteRates = r.f64s("bundle rate")
+	b.Weights = r.f64s("bundle weight")
+	if prec := r.i32("bundle precision"); r.err == nil && prec != 0 {
+		return DataBundle{}, fmt.Errorf("%w (slot value %d)", ErrBundlePrecision, prec)
 	}
-	n = r.i32("bundle weight count")
-	for i := int32(0); i < n && r.err == nil; i++ {
-		b.Weights = append(b.Weights, r.f64("bundle weight"))
-	}
-	b.Precision = likelihood.Precision(r.i32("bundle precision"))
+	var bad error
+	last := byte(0)
 	if err := r.extFields("bundle extension", func(tag byte, payload []byte) {
+		if bad != nil {
+			return
+		}
+		if tag <= last {
+			bad = fmt.Errorf("mlsearch: data bundle extension %d out of order or repeated", tag)
+			return
+		}
+		last = tag
 		switch tag {
 		case extBundleEngine:
+			if len(payload) == 0 {
+				bad = fmt.Errorf("mlsearch: data bundle names an empty engine")
+			}
 			b.Engine = string(payload)
 		case extBundleSmoothMode:
-			if m, err := likelihood.ParseSmoothMode(string(payload)); err == nil {
-				b.SmoothMode = m
+			m, err := likelihood.ParseSmoothMode(string(payload))
+			if err != nil || m == likelihood.SmoothSweep || m.String() != string(payload) {
+				bad = fmt.Errorf("mlsearch: data bundle smooth mode %q is not canonical", payload)
 			}
+			b.SmoothMode = m
+		default:
+			bad = fmt.Errorf("mlsearch: data bundle has unknown extension %d", tag)
 		}
 	}); err != nil {
 		return DataBundle{}, err
 	}
+	if bad != nil {
+		return DataBundle{}, bad
+	}
 	return b, r.done("data bundle")
+}
+
+// f64s reads a count-prefixed float64 list; a negative count is an
+// error, and an empty list reads as nil.
+func (r *wireReader) f64s(what string) []float64 {
+	n := r.i32(what + " count")
+	if r.err == nil && n < 0 {
+		r.err = fmt.Errorf("mlsearch: negative %s count %d", what, n)
+	}
+	var out []float64
+	for i := int32(0); i < n && r.err == nil; i++ {
+		out = append(out, r.f64(what))
+	}
+	return out
 }
 
 // Build materializes the bundle into the worker-side dataset.

@@ -39,7 +39,7 @@ func TestTCPChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 5, RearrangeExtent: 1, Threads: 2}
+	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 5, RearrangeExtent: 1}
 	serial, err := runSerial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +82,11 @@ func TestTCPChaosSoak(t *testing.T) {
 
 	fastRetry := ReconnectPolicy{Base: 5 * time.Millisecond, Cap: 40 * time.Millisecond, MaxAttempts: 100}
 
-	// Worker A: well-behaved, with a 2-thread engine.
+	// Worker A: well-behaved.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := ServeElastic(addr, WorkerHooks{Threads: 2}, ReconnectPolicy{Disabled: true}); err != nil {
+		if err := ServeElastic(addr, WorkerHooks{}, ReconnectPolicy{Disabled: true}); err != nil {
 			t.Errorf("worker A: %v", err)
 		}
 	}()
@@ -103,7 +103,6 @@ func TestTCPChaosSoak(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_ = ServeElastic(addr, WorkerHooks{
-			Threads: 3,
 			OnAttach: func(c comm.Communicator) {
 				victimMu.Lock()
 				victimConn = c

@@ -59,19 +59,6 @@ type Config struct {
 	// simulator. Default true.
 	DisableRoundLog bool
 
-	// Threads is the likelihood engine's kernel thread count for
-	// evaluators this config builds (serial dispatcher, inline foreman
-	// evaluator, local workers that do not override it). Default 1.
-	// Results are bit-identical across thread counts: sharding is a pure
-	// function of the data and reductions run in shard order.
-	Threads int
-
-	// Precision selects the CLV storage format for evaluators this config
-	// builds. The zero value (likelihood.Float64) is exact mode and the
-	// bit-identity reference; likelihood.Float32 trades the documented
-	// tolerance (likelihood.Float32*Tol) for half the CLV memory traffic.
-	Precision likelihood.Precision
-
 	// Engine names the likelihood backend used by evaluators this config
 	// builds (see likelihood.Engines for the registered set). Empty
 	// selects likelihood.DefaultEngine, the CLV-cached production
@@ -117,9 +104,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.Epsilon <= 0 {
 		c.Epsilon = 1e-5
-	}
-	if c.Threads < 1 {
-		c.Threads = 1
 	}
 	eng, err := likelihood.ParseEngine(c.Engine)
 	if err != nil {

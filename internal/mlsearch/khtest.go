@@ -43,10 +43,7 @@ func KishinoHasegawa(cfg Config, trees []*tree.Tree) ([]KHResult, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("mlsearch: no trees to compare")
 	}
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}

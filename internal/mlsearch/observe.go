@@ -535,8 +535,6 @@ type WorkerSnapshot struct {
 	CacheHits   uint64    `json:"cache_hits"`
 	CacheMisses uint64    `json:"cache_misses"`
 	NewtonIters uint64    `json:"newton_iters"`
-	Threads     int       `json:"threads,omitempty"`
-	ShardDisp   uint64    `json:"shard_dispatches,omitempty"`
 	LastTask    string    `json:"last_task,omitempty"`
 }
 
@@ -553,8 +551,6 @@ type WorkerObserver struct {
 	mOps        *obs.Counter
 	mNewton     *obs.Counter
 	mReconnects *obs.Counter
-	gThreads    *obs.Gauge
-	gShardDisp  *obs.Gauge
 
 	mu      sync.Mutex
 	started time.Time
@@ -573,8 +569,6 @@ func NewWorkerObserver(reg *obs.Registry) *WorkerObserver {
 		mOps:        reg.Counter("fdml_engine_ops_total", "Likelihood kernel work units."),
 		mNewton:     reg.Counter("fdml_engine_newton_iters_total", "Newton-Raphson iterations."),
 		mReconnects: reg.Counter("fdml_worker_reconnects_total", "Reconnections to the master."),
-		gThreads:    reg.Gauge("fdml_worker_threads", "Likelihood kernel threads on this worker."),
-		gShardDisp:  reg.Gauge("fdml_engine_shard_dispatches", "Cumulative threaded kernel dispatches."),
 		started:     time.Now(),
 	}
 	o.snap.Started = o.started
@@ -615,21 +609,6 @@ func (o *WorkerObserver) Served(res Result) {
 	o.snap.CacheMisses += res.CacheMisses
 	o.snap.NewtonIters += res.NewtonIters
 	o.snap.LastTask = res.Trace.String()
-	o.mu.Unlock()
-}
-
-// Engine records the worker engine's threading state: the kernel thread
-// count and the cumulative threaded shard dispatches (0 while the engine
-// runs serial).
-func (o *WorkerObserver) Engine(threads int, shardDispatches uint64) {
-	if o == nil {
-		return
-	}
-	o.gThreads.Set(float64(threads))
-	o.gShardDisp.Set(float64(shardDispatches))
-	o.mu.Lock()
-	o.snap.Threads = threads
-	o.snap.ShardDisp = shardDispatches
 	o.mu.Unlock()
 }
 

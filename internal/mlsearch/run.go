@@ -320,10 +320,6 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 			if opt.WorkerHooks != nil {
 				hooks = opt.WorkerHooks[rank]
 			}
-			if hooks.Threads == 0 {
-				hooks.Threads = norm.Threads
-			}
-			hooks.Precision = norm.Precision
 			hooks.SmoothMode = norm.SmoothMode
 			if err := RunWorker(world[rank], lay, norm.Model, norm.Patterns, norm.Taxa, hooks); err != nil {
 				errs <- fmt.Errorf("worker %d: %w", rank, err)
@@ -362,10 +358,7 @@ func runMasterSide(c comm.Communicator, lay Layout, norm Config, opt RunOptions)
 // newInlineEvaluator builds the evaluator the foreman falls back to when
 // the live worker set is empty (TCP degradation ladder, bottom rung).
 func newInlineEvaluator(norm Config) (*Evaluator, error) {
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}

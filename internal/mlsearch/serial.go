@@ -18,10 +18,7 @@ func NewSerialDispatcher(cfg Config) (*SerialDispatcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -200,7 +200,9 @@ func (r *wireReader) done(what string) error {
 // (an old master with new workers, or the reverse); writers omit
 // zero-valued fields, so untraced runs pay zero wire bytes. Truncated
 // extensions are still hard errors — tolerance is for unknown fields,
-// not corrupt frames.
+// not corrupt frames. The DataBundle is the exception: it decides how
+// results are computed, so its decoder rejects unknown fields
+// (UnmarshalDataBundle).
 
 // ext appends one tagged extension field.
 func (w *wireWriter) ext(tag byte, payload []byte) {

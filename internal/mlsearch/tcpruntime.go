@@ -1,6 +1,7 @@
 package mlsearch
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -33,11 +34,8 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Workers evaluate at the run's precision and with the run's engine
-	// backend unless the bundle already requests them explicitly.
-	if opt.Bundle.Precision == likelihood.Float64 {
-		opt.Bundle.Precision = norm.Precision
-	}
+	// Workers evaluate with the run's engine backend unless the bundle
+	// already requests one explicitly.
 	if opt.Bundle.Engine == "" {
 		opt.Bundle.Engine = norm.Engine
 	}
@@ -245,6 +243,11 @@ func ParseReconnectPolicy(s string) (ReconnectPolicy, error) {
 // connection drops — a network fault or a master restart — the worker
 // reconnects under the policy's jittered exponential backoff and is
 // assigned a fresh rank, resuming from the master's checkpoint state.
+//
+// Two kinds of error end the worker at once instead: a deterministic
+// evaluation failure (FatalEvalError) and a welcome or data bundle this
+// worker cannot use (ErrUnusableBundle). The master hands the same
+// bundle to every join, so a rejoin would only fail the same way again.
 func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error {
 	policy = policy.withDefaults()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -258,10 +261,9 @@ func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error 
 			if err == nil {
 				return nil // clean shutdown from the foreman
 			}
-			if FatalEvalError(err) {
-				// Deterministic evaluation failure: the same task would
-				// fail identically after a rejoin, so reconnecting only
-				// loops. Surface it instead.
+			if FatalEvalError(err) || errors.Is(err, ErrUnusableBundle) {
+				// The same task or bundle would fail identically after
+				// a rejoin, so reconnecting only loops. Surface it.
 				return err
 			}
 		}
@@ -276,28 +278,32 @@ func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error 
 	}
 }
 
+// ErrUnusableBundle marks a join whose welcome payload or data bundle
+// this worker cannot use: it does not decode, its alignment does not
+// build, or it names an engine this binary does not have.
+var ErrUnusableBundle = errors.New("mlsearch: unusable welcome or data bundle")
+
 // serveConnection runs one joined worker session to completion. A nil
-// return means the foreman sent shutdown; any error means the session
-// ended abnormally (usually a dropped connection) and the caller may
-// reconnect.
+// return means the foreman sent shutdown. An error wrapping
+// ErrUnusableBundle means the session could not start; any other error
+// means it ended abnormally (usually a dropped connection) and the
+// caller may reconnect.
 func serveConnection(c comm.Communicator, welcome []byte, hooks WorkerHooks) error {
 	lay, bundle, err := unmarshalWelcome(welcome)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrUnusableBundle, err)
 	}
 	m, pat, taxa, err := bundle.Build()
 	if err != nil {
-		return err
-	}
-	if !hooks.PrecisionSet {
-		// The master's bundle chooses the precision unless this worker
-		// was started with an explicit -precision override.
-		hooks.Precision = bundle.Precision
+		return fmt.Errorf("%w: %w", ErrUnusableBundle, err)
 	}
 	if !hooks.EngineSet {
-		// Likewise the engine backend: workers adopt the master's choice
-		// unless started with an explicit -engine override.
+		// The engine backend: workers adopt the master's choice unless
+		// started with an explicit -engine override.
 		hooks.Engine = bundle.Engine
+	}
+	if _, err := likelihood.ParseEngine(hooks.Engine); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnusableBundle, err)
 	}
 	if !hooks.SmoothModeSet {
 		// And the smoothing algorithm, overridable via -smooth-mode.

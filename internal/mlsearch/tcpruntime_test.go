@@ -137,7 +137,6 @@ func TestDataBundleCodec(t *testing.T) {
 		TTRatio:    2.5,
 		SiteRates:  []float64{1, 2, 0.5, 0.5},
 		Weights:    []float64{1, 1, 0, 2},
-		Precision:  likelihood.Float32,
 		Engine:     "reference",
 		SmoothMode: likelihood.SmoothGradient,
 	}
@@ -150,9 +149,6 @@ func TestDataBundleCodec(t *testing.T) {
 	}
 	if len(out.SiteRates) != 4 || len(out.Weights) != 4 {
 		t.Errorf("slices lost: %+v", out)
-	}
-	if out.Precision != likelihood.Float32 {
-		t.Errorf("precision lost: %v", out.Precision)
 	}
 	if out.Engine != "reference" {
 		t.Errorf("engine lost: %q", out.Engine)

@@ -27,21 +27,9 @@ type WorkerHooks struct {
 	// sever a live connection from outside (simulating a SIGKILL).
 	OnAttach func(c comm.Communicator)
 	// Obs, when non-nil, receives the worker's serve-loop
-	// instrumentation: tasks served, evaluation latency, engine cache and
-	// kernel counters, reconnects.
+	// instrumentation: tasks served, evaluation latency, engine cache
+	// counters, reconnects.
 	Obs *WorkerObserver
-	// Threads is the likelihood engine's kernel thread count (values < 2
-	// keep the engine single-threaded). Sharding is deterministic: a
-	// threaded worker returns bit-identical results to a serial one.
-	Threads int
-	// Precision selects the worker engine's CLV storage format. The zero
-	// value is likelihood.Float64 (exact mode); TCP workers default to
-	// the precision the master's data bundle requests unless the hook was
-	// set explicitly (see PrecisionSet).
-	Precision likelihood.Precision
-	// PrecisionSet marks Precision as an explicit per-worker override, so
-	// a worker can be forced to a precision different from the bundle's.
-	PrecisionSet bool
 	// Engine names the likelihood backend the worker builds (see
 	// likelihood.Engines). Empty means likelihood.DefaultEngine; TCP
 	// workers default to the engine the master's data bundle requests
@@ -62,10 +50,7 @@ type WorkerHooks struct {
 // RunWorker executes the worker loop: receive a task from the foreman,
 // evaluate it, send the result back, until a shutdown message arrives.
 func RunWorker(c comm.Communicator, lay Layout, m model.Model, pat *seq.Patterns, taxa []string, hooks WorkerHooks) error {
-	eng, err := likelihood.NewEngine(hooks.Engine, m, pat, likelihood.EngineOptions{
-		Precision: hooks.Precision,
-		Threads:   hooks.Threads,
-	})
+	eng, err := likelihood.NewEngine(hooks.Engine, m, pat, likelihood.EngineOptions{})
 	if err != nil {
 		return err
 	}
@@ -97,7 +82,6 @@ func RunWorker(c comm.Communicator, lay Layout, m model.Model, pat *seq.Patterns
 			}
 			res.Worker = int32(c.Rank())
 			hooks.Obs.Served(res)
-			hooks.Obs.Engine(likelihood.EngineThreads(eng), likelihood.StatsOf(eng).ShardDispatches)
 			if hooks.BeforeReply != nil && !hooks.BeforeReply(task, res) {
 				continue
 			}

@@ -35,9 +35,6 @@ type FleetOptions struct {
 	// IdleTTL is how long an unreferenced pod stays warm before the
 	// reaper shuts it down (default 5m).
 	IdleTTL time.Duration
-	// Threads is the likelihood kernel thread count per worker engine
-	// (default 1; results are bit-identical at any count).
-	Threads int
 	// Pipeline is the foreman's per-worker task pipeline depth
 	// (default 2).
 	Pipeline int
@@ -56,9 +53,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	}
 	if o.IdleTTL <= 0 {
 		o.IdleTTL = 5 * time.Minute
-	}
-	if o.Threads < 1 {
-		o.Threads = 1
 	}
 	if o.TaskTimeout == 0 {
 		o.TaskTimeout = time.Minute
@@ -167,7 +161,6 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 	if err != nil {
 		return nil, err
 	}
-	norm.Threads = f.opt.Threads
 	size := f.opt.Workers + 2
 	world, err := comm.NewLocal(size)
 	if err != nil {
@@ -179,10 +172,7 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 	}
 	// The inline evaluator is the degradation floor: if every worker in
 	// the pod dies, rounds still complete.
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -210,9 +200,6 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 			// engine choice explicitly so every worker matches the
 			// dataset key it serves.
 			hooks := mlsearch.WorkerHooks{
-				Threads:       norm.Threads,
-				Precision:     norm.Precision,
-				PrecisionSet:  true,
 				Engine:        norm.Engine,
 				EngineSet:     true,
 				SmoothMode:    norm.SmoothMode,

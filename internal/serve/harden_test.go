@@ -241,6 +241,32 @@ func TestSubmitOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// TestSubmitUnknownFieldIs400: a request body with a field the API does
+// not have — here the removed "precision" option — is rejected with 400
+// and an error naming the field, and no job is created.
+func TestSubmitUnknownFieldIs400(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	aln, err := json.Marshal(testPhylipText(t, 6, 100, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"alignment": ` + string(aln) + `, "options": {"seed": 3, "precision": "float32"}}`)
+	var out map[string]string
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "", body, &out)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown option: status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(out["error"], `"precision"`) {
+		t.Errorf("error %q does not name the unknown field", out["error"])
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("rejected submission created %d jobs", n)
+	}
+}
+
 func TestSubmitInternalErrorIs500(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	spec := JobSpec{Alignment: testPhylipText(t, 6, 100, 7), Options: JobOptions{Seed: 3}}

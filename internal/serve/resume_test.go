@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 	"time"
@@ -118,5 +119,61 @@ func TestServerResumeAfterShutdown(t *testing.T) {
 					i, j, got.Newick, got.LnL, got.Seed, w.BestNewick, w.LnL, w.Seed)
 			}
 		}
+	}
+}
+
+// TestResumeJobPersistedWithPrecision: a queued job whose spec was
+// written by a build that still had the "precision" option resumes
+// after an upgrade. Specs on disk decode leniently, so the old field is
+// ignored and the job runs to the same result as a fresh submission.
+func TestResumeJobPersistedWithPrecision(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Tenant: "a", Alignment: testPhylipText(t, 8, 150, 11), Options: JobOptions{Seed: 5}}
+	prep, err := prepareSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := JobRecord{
+		ID: newJobID(), Tenant: "a", State: StateQueued, Jumbles: 1,
+		ResultKey: prep.ResultKey, PodKey: prep.PodKey, Submitted: time.Now(),
+	}
+	if err := store.Create(&rec, &prep.Spec); err != nil {
+		t.Fatal(err)
+	}
+	// Add the option the way the older build persisted it.
+	path := store.specPath(rec.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["options"].(map[string]any)["precision"] = "float64"
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	waitJob(t, s, rec.ID, StateDone)
+	res, _, err := s.Result(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialReference(t, spec)
+	if len(res.Jumbles) != 1 || res.Jumbles[0].Newick != want[0].BestNewick || res.Jumbles[0].LnL != want[0].LnL {
+		t.Errorf("resumed job diverged from a serial run: %+v", res.Jumbles)
 	}
 }

@@ -739,9 +739,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -52,9 +53,6 @@ type JobOptions struct {
 	FinalExtent int `json:"final_extent,omitempty"`
 	// Adaptive enables the adaptive rearrangement extent.
 	Adaptive bool `json:"adaptive,omitempty"`
-	// Precision selects the CLV storage format: float64 (default) or
-	// float32.
-	Precision string `json:"precision,omitempty"`
 	// Engine names the likelihood backend (default cached).
 	Engine string `json:"engine,omitempty"`
 	// SmoothMode selects the full-tree branch-smoothing algorithm:
@@ -164,11 +162,6 @@ func normalizeOptions(o JobOptions) (JobOptions, error) {
 	if o.FinalExtent == 0 {
 		o.FinalExtent = o.Extent
 	}
-	prec, err := likelihood.ParsePrecision(o.Precision)
-	if err != nil {
-		return o, err
-	}
-	o.Precision = prec.String()
 	eng, err := likelihood.ParseEngine(o.Engine)
 	if err != nil {
 		return o, err
@@ -180,6 +173,20 @@ func normalizeOptions(o JobOptions) (JobOptions, error) {
 	}
 	o.SmoothMode = smode.String()
 	return o, nil
+}
+
+// decodeJobSpec reads a POST /v1/jobs body. Unknown fields are errors
+// that name the field, so a misspelled option, or one this daemon no
+// longer has, fails the request instead of silently running the job
+// with a default. Specs read back from disk decode leniently instead
+// (JobStore.LoadSpec), so jobs persisted by an older build still
+// resume.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // gtrRatesStruct converts the wire slice to the model's struct form.
@@ -235,7 +242,6 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 		RearrangeExtent: opts.Extent,
 		FinalExtent:     opts.FinalExtent,
 		AdaptiveExtent:  opts.Adaptive,
-		Precision:       opts.Precision,
 		Engine:          opts.Engine,
 		SmoothMode:      opts.SmoothMode,
 	})
@@ -258,7 +264,6 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 		TTRatio    float64
 		Kappa      float64
 		GTRRates   []float64
-		Precision  string
 		Engine     string
 		SmoothMode string
 	}
@@ -276,7 +281,6 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 		TTRatio:    opts.TTRatio,
 		Kappa:      opts.Kappa,
 		GTRRates:   opts.GTRRates,
-		Precision:  opts.Precision,
 		Engine:     opts.Engine,
 		SmoothMode: opts.SmoothMode,
 	}

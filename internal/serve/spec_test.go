@@ -49,7 +49,7 @@ func TestPrepareSpecKeys(t *testing.T) {
 	spelled := base
 	spelled.Options = JobOptions{
 		Model: "f84", TTRatio: 2.0, Jumbles: 2, Seed: 5,
-		Extent: 1, FinalExtent: 1, Precision: "double", Engine: "cached",
+		Extent: 1, FinalExtent: 1, Engine: "cached", SmoothMode: "sweep",
 	}
 	p3, err := prepareSpec(spelled)
 	if err != nil {
@@ -94,7 +94,6 @@ func TestPrepareSpecValidation(t *testing.T) {
 		{Alignment: aln, Options: JobOptions{Jumbles: MaxJumbles + 1}},
 		{Alignment: aln, Options: JobOptions{GTRRates: []float64{1, 2}}},
 		{Alignment: aln, Options: JobOptions{Model: "GTR", GTRRates: []float64{1, 2, 3}}},
-		{Alignment: aln, Options: JobOptions{Precision: "float16"}},
 		{Alignment: aln, Options: JobOptions{Engine: "warp"}},
 		{Alignment: aln, Options: JobOptions{Extent: -1}},
 	}
@@ -102,6 +101,20 @@ func TestPrepareSpecValidation(t *testing.T) {
 		if _, err := prepareSpec(sp); err == nil {
 			t.Errorf("spec %d: invalid spec accepted", i)
 		}
+	}
+	// Request bodies name only known fields: a removed option
+	// ("precision", "threads") or a misspelled one is a decode error
+	// naming the field, not a silently ignored setting.
+	for _, field := range []string{`"precision": "float16"`, `"threads": 2`, `"smoothmode": "gradient"`} {
+		body := `{"alignment": "x", "options": {` + field + `}}`
+		_, err := decodeJobSpec(strings.NewReader(body))
+		name := field[:strings.Index(field, ":")]
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("body %s: error %v, want one naming %s", body, err, name)
+		}
+	}
+	if _, err := decodeJobSpec(strings.NewReader(`{"tenant": "a", "alignment": "x", "options": {"seed": 5}}`)); err != nil {
+		t.Errorf("known fields rejected: %v", err)
 	}
 	// Defaults alone are a valid job.
 	p, err := prepareSpec(JobSpec{Alignment: aln})
